@@ -1,199 +1,55 @@
-//! Crowd-scenario scaling benchmark v3: N competing flows through the
-//! paper's RED cellular bottleneck, swept across the sharded engine's
-//! worker counts.
+//! Crowd-scenario ledger smoke: a short 100-flow CUBIC crowd through
+//! the paper's RED cellular bottleneck, with every flow's packet
+//! conservation ledger re-checked from its report.
 //!
-//! Sweeps N ∈ {100, 1k, 10k, 100k} full-buffer CUBIC flows over a
-//! scaled LTE trace and, for each N, runs the identical scenario at
-//! W ∈ {1, 2, 4} via [`SchedulerKind::Sharded`]. Per (N, W) it records
-//! median wall time and logical events/s; per N it records the
-//! deterministic event/pop totals, the peak RSS, and — the point of the
-//! sharded engine — asserts that every W produces the **same report
-//! digest and the same event/pop totals** (W = 1 takes the documented
-//! sequential fallback, so it doubles as the wheel baseline).
+//! CI runs it under `strict-invariants`, which additionally asserts
+//! conservation after every event; the report-level check here guards
+//! plain release builds too. It writes nothing. The crowd *benchmark*
+//! is perfbench's `cubic_crowd` workload (`perfbench/README.md` maps the
+//! committed `BENCH_2.json`/`BENCH_3.json` sweeps onto its metrics).
 //!
-//! The channel capacity scales as `50 × √(N/100)` × the LTE model's
-//! measured burst structure: per-TTI burstiness is preserved while the
-//! aggregate grows with the crowd, so packet events (not idle timers)
-//! stay the load. At N = 100 this is exactly the v2 channel, which
-//! keeps the v2 → v3 single-core figures comparable.
+//! The channel is `BENCH_3.json`'s N = 100 cell: the LTE model's
+//! measured burst structure with its rate scaled 50×, so packet events
+//! (not idle timers) stay the load.
 //!
-//! ## v2 regression note (RTO re-arm coalescing)
-//!
-//! BENCH_2.json showed events/s *falling* as the crowd grew: 9.56M at
-//! N=1 → 8.00M at N=100 → 6.81M at N=250, with scheduler pops growing
-//! from 196k to 760k. Profiling showed the growth was almost entirely
-//! per-ACK RTO re-arms: every ACK restarts the flow's RTO, and every
-//! restart was a fresh wheel insert at a new deadline. The fix
-//! (`sim.rs::quantize_rto`) rounds RTO deadlines up to the next wheel
-//! granule (≈ 1.05 ms), collapsing all re-arms inside a granule to one
-//! insert per (flow, granule) — applied under every scheduler so the
-//! engines stay byte-identical. The before/after at N=100 is recorded
-//! in this benchmark's `rto_coalescing` object.
-//!
-//! ## Single-core honesty
-//!
-//! The `cores` field records `available_parallelism()` at run time.
-//! Wall-clock speedup from W > 1 obviously requires W cores; on a
-//! single-core host the W sweep still proves byte-identity and measures
-//! the barrier overhead, and `wall_secs` are recorded per W either
-//! way. CI's shard-smoke job only asserts the W=4 speedup when the
-//! committed record was measured on ≥ 4 cores.
-//!
-//! Output: `BENCH_3.json` (override with `VERUS_BENCH_OUT`).
-//! `--smoke` runs a single short 100-flow crowd and verifies every
-//! flow's conservation ledger balances (CI scale-smoke, under
-//! `strict-invariants`); `--shard-smoke` runs the same crowd at
-//! W ∈ {1, 2, 4} and asserts the digests match (CI shard-smoke's
-//! byte-identity gate). Neither writes anything.
+//! Usage: `bench_scale --smoke`.
 
-use std::fmt::Write as _;
 use std::time::Instant;
-use verus_bench::{cc_by_name, guard_finite};
-use verus_cellular::{OperatorModel, Scenario, Trace};
+use verus_bench::cc_by_name;
+use verus_cellular::{OperatorModel, Scenario};
 use verus_netsim::invariants::Ledger;
 use verus_netsim::queue::QueueConfig;
-use verus_netsim::{
-    BottleneckConfig, FlowConfig, FlowReport, SchedulerKind, SimConfig, Simulation,
-};
+use verus_netsim::{BottleneckConfig, FlowConfig, FlowReport, SimConfig, Simulation};
 use verus_nettypes::{SimDuration, SimTime};
 
-/// (flows, repetitions). Reps taper as N grows: the big crowds are
-/// deterministic like the small ones, and their wall time is minutes.
-const SWEEP: [(usize, usize); 4] = [(100, 5), (1_000, 3), (10_000, 2), (100_000, 1)];
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-const DURATION_SECS: u64 = 60;
+const FLOWS: u64 = 100;
 const SEED: u64 = 7;
 
-/// The crowd channel: the LTE model's measured burst structure scaled
-/// with the crowd size (see module docs).
-fn rate_scale(n: usize) -> f64 {
-    50.0 * (n as f64 / 100.0).sqrt()
-}
-
-fn cell_trace(n: usize) -> Trace {
-    Scenario::CampusStationary
+/// `FLOWS` full-buffer CUBIC flows with starts 50 ms apart, so
+/// slow-start bursts don't all land on the empty queue in one granule.
+fn crowd_config() -> SimConfig {
+    let trace = Scenario::CampusStationary
         .generate_trace(OperatorModel::EtisalatLte, SimDuration::from_secs(10), 42)
         .expect("trace")
-        .scale_rate(rate_scale(n))
-}
-
-/// N full-buffer CUBIC flows with starts spread over the first 5
-/// simulated seconds (v2's 50 ms stagger at N=100, proportionally
-/// tighter for bigger crowds) so slow-start bursts don't all land on
-/// the empty queue in the same granule.
-fn crowd_config(n: usize, duration: SimDuration) -> SimConfig {
-    let stagger_ns = 5_000_000_000 / n as u64;
-    let flows = (0..n)
-        .map(|i| {
-            FlowConfig::new(cc_by_name("cubic", 2.0))
-                .starting_at(SimTime::from_nanos(i as u64 * stagger_ns))
-        })
-        .collect();
+        .scale_rate(50.0);
     SimConfig {
         bottleneck: BottleneckConfig::Cell {
-            trace: cell_trace(n),
+            trace,
             base_rtt: SimDuration::from_millis(40),
             loss: 0.0,
         },
         queue: QueueConfig::paper_red(),
-        flows,
-        duration,
+        flows: (0..FLOWS)
+            .map(|i| {
+                FlowConfig::new(cc_by_name("cubic", 2.0)).starting_at(SimTime::from_millis(i * 50))
+            })
+            .collect(),
+        duration: SimDuration::from_secs(10),
         seed: SEED,
         throughput_window: SimDuration::from_secs(1),
         impairments: Default::default(),
         abc: None,
     }
-}
-
-/// FNV-1a over every report's full `Debug` rendering: a compact stand-in
-/// for the byte equality `tests/sched_equivalence.rs` asserts literally
-/// (a 100k-flow report dump is hundreds of MB; its digest is 8 bytes).
-fn digest_reports(reports: &[FlowReport]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut buf = String::new();
-    for r in reports {
-        buf.clear();
-        let _ = write!(buf, "{r:?}");
-        for b in buf.as_bytes() {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
-}
-
-struct RunOut {
-    digest: u64,
-    nflows: usize,
-    events: u64,
-    pops: u64,
-    wall: f64,
-}
-
-fn run_once(n: usize, kind: SchedulerKind, duration: SimDuration) -> RunOut {
-    let sim = Simulation::new(crowd_config(n, duration))
-        .expect("valid config")
-        .with_scheduler(kind)
-        .with_delay_samples(false);
-    let t0 = Instant::now();
-    let (reports, events, pops) = sim.run_instrumented();
-    let wall = t0.elapsed().as_secs_f64();
-    RunOut {
-        digest: digest_reports(&reports),
-        nflows: reports.len(),
-        events,
-        pops,
-        wall,
-    }
-}
-
-/// One (N, W) cell: deterministic totals + digest, median wall time.
-struct Measured {
-    digest: u64,
-    events: u64,
-    pops: u64,
-    wall: f64,
-}
-
-impl Measured {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall
-    }
-}
-
-fn measure(n: usize, reps: usize, kind: SchedulerKind, duration: SimDuration) -> Measured {
-    let mut walls = Vec::with_capacity(reps);
-    let mut first: Option<(u64, u64, u64)> = None;
-    for _ in 0..reps {
-        let out = run_once(n, kind, duration);
-        assert_eq!(out.nflows, n, "crowd run lost flows");
-        let key = (out.digest, out.events, out.pops);
-        match first {
-            None => first = Some(key),
-            Some(prev) => assert_eq!(prev, key, "seeded N={n} run was not deterministic"),
-        }
-        walls.push(out.wall);
-    }
-    walls.sort_by(f64::total_cmp);
-    let (digest, events, pops) = first.expect("reps >= 1");
-    Measured {
-        digest,
-        events,
-        pops,
-        wall: walls[walls.len() / 2],
-    }
-}
-
-/// Peak resident set (kB) from `/proc/self/status`; 0 where unavailable.
-fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .unwrap_or(0)
 }
 
 fn report_ledger(r: &FlowReport) -> Ledger {
@@ -211,19 +67,18 @@ fn report_ledger(r: &FlowReport) -> Ledger {
     }
 }
 
-fn smoke() {
-    // Single 100-flow crowd, short enough for a debug/strict build; the
-    // strict-invariants build asserts conservation after every event,
-    // and the report-level ledger is re-checked here so the smoke also
-    // guards plain release builds.
-    let config = crowd_config(100, SimDuration::from_secs(10));
-    let sim = Simulation::new(config)
+fn main() {
+    if !std::env::args().any(|a| a == "--smoke") {
+        eprintln!("usage: bench_scale --smoke (the crowd benchmark is perfbench's cubic_crowd)");
+        std::process::exit(2);
+    }
+    let sim = Simulation::new(crowd_config())
         .expect("valid config")
         .with_delay_samples(false);
     let t0 = Instant::now();
     let (reports, events) = sim.run_counted();
     let wall = t0.elapsed().as_secs_f64();
-    assert_eq!(reports.len(), 100, "crowd run lost flows");
+    assert_eq!(reports.len() as u64, FLOWS, "crowd run lost flows");
     let mut delivered = 0u64;
     for r in &reports {
         let ledger = report_ledger(r);
@@ -236,136 +91,8 @@ fn smoke() {
     }
     assert!(delivered > 0, "crowd run delivered nothing");
     println!(
-        "scale-smoke OK: 100 flows, {events} events in {wall:.2} s \
+        "scale-smoke OK: {FLOWS} flows, {events} events in {wall:.2} s \
          ({:.0} events/s), {delivered} delivered, all ledgers balanced",
         events as f64 / wall
     );
-}
-
-fn shard_smoke() {
-    // One short crowd, every worker count: the CI byte-identity gate.
-    let duration = SimDuration::from_secs(5);
-    let base = run_once(100, SchedulerKind::Sharded { workers: 1 }, duration);
-    for workers in [2usize, 4] {
-        let got = run_once(100, SchedulerKind::Sharded { workers }, duration);
-        assert_eq!(
-            (base.digest, base.events, base.pops),
-            (got.digest, got.events, got.pops),
-            "W={workers} diverged from the sequential engine"
-        );
-    }
-    println!(
-        "shard-smoke OK: 100 flows × W∈{{1,2,4}}, digest {:016x}, \
-         {} events / {} pops identical at every W",
-        base.digest, base.events, base.pops
-    );
-}
-
-fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
-    if std::env::args().any(|a| a == "--shard-smoke") {
-        shard_smoke();
-        return;
-    }
-
-    let cores = std::thread::available_parallelism().map_or(0, usize::from);
-    let duration = SimDuration::from_secs(DURATION_SECS);
-    println!(
-        "crowd sweep v3: {DURATION_SECS} simulated seconds, paper RED cell bottleneck, \
-         W ∈ {WORKER_COUNTS:?}, {cores} host cores"
-    );
-
-    let mut rows = Vec::new();
-    for (n, reps) in SWEEP {
-        let mut per_w = Vec::new();
-        let mut ident: Option<(u64, u64, u64)> = None;
-        for workers in WORKER_COUNTS {
-            let m = measure(n, reps, SchedulerKind::Sharded { workers }, duration);
-            println!(
-                "  N={n:>6} W={workers}: {:>11} events ({:>9} pops)  {:>12.0} events/s  \
-                 wall {:>7.2} s  digest {:016x}",
-                m.events,
-                m.pops,
-                m.events_per_sec(),
-                m.wall,
-                m.digest
-            );
-            let key = (m.digest, m.events, m.pops);
-            match ident {
-                None => ident = Some(key),
-                Some(prev) => assert_eq!(
-                    prev, key,
-                    "N={n}, W={workers}: sharded run diverged from W=1 — \
-                     the byte-identity contract is broken"
-                ),
-            }
-            per_w.push((workers, m));
-        }
-        let rss = peak_rss_kb();
-        rows.push((n, reps, per_w, rss));
-    }
-
-    let mut figures = Vec::new();
-    for (_, _, per_w, _) in &rows {
-        for (_, m) in per_w {
-            figures.push(("sweep_events_per_sec", m.events_per_sec()));
-        }
-    }
-    guard_finite("bench_scale", &figures);
-
-    // The v2 N=100 figures (pre-coalescing) are quoted from the
-    // committed BENCH_2.json; the v3 W=1 row at N=100 is the same
-    // channel and seed after the quantize_rto fix.
-    let n100 = &rows[0].2[0].1;
-    let mut sweep_json = String::new();
-    for (i, (n, reps, per_w, rss)) in rows.iter().enumerate() {
-        let mut w_json = String::new();
-        for (j, (workers, m)) in per_w.iter().enumerate() {
-            let _ = write!(
-                w_json,
-                "{}        {{ \"workers\": {workers}, \"wall_secs\": {:.3}, \
-                 \"events_per_sec\": {:.0} }}",
-                if j == 0 { "" } else { ",\n" },
-                m.wall,
-                m.events_per_sec(),
-            );
-        }
-        let (_, m1) = &per_w[0];
-        let _ = write!(
-            sweep_json,
-            "{}    {{ \"flows\": {n}, \"reps\": {reps}, \"rate_scale\": {:.1}, \
-             \"events\": {}, \"sched_pops\": {}, \"report_digest\": \"{:016x}\", \
-             \"byte_identical_across_w\": true, \"peak_rss_kb\": {rss},\n      \
-             \"per_worker\": [\n{w_json}\n      ] }}",
-            if i == 0 { "" } else { ",\n" },
-            rate_scale(*n),
-            m1.events,
-            m1.pops,
-            m1.digest,
-        );
-    }
-    let json = format!(
-        "{{\n  \"schema\": \"verus-bench-scale-v3\",\n  \
-         \"duration_secs\": {DURATION_SECS},\n  \
-         \"seed\": {SEED},\n  \
-         \"cores\": {cores},\n  \
-         \"worker_counts\": [1, 2, 4],\n  \
-         \"sweep\": [\n{sweep_json}\n  ],\n  \
-         \"rto_coalescing\": {{\n    \
-         \"fix\": \"quantize_rto: RTO re-arms rounded up to the next wheel granule, one insert per (flow, granule)\",\n    \
-         \"comparison\": \"this PR also replaced insertion-order event ties with the canonical key, changing flow trajectories and event totals, so the comparable figure is scheduler pops per logical event\",\n    \
-         \"before_bench2_n100\": {{ \"events\": 2999947, \"sched_pops\": 566680, \"pops_per_event\": 0.1889, \"events_per_sec\": 8000400 }},\n    \
-         \"after_n100\": {{ \"events\": {}, \"sched_pops\": {}, \"pops_per_event\": {:.4}, \"events_per_sec\": {:.0} }}\n  }},\n  \
-         \"notes\": \"W=1 takes the sequential fallback and is the wheel baseline; every W asserted digest/event/pop-identical before this file was written. Wall speedup from W>1 requires W host cores (this record: {cores}); CI gates the W=4 speedup assertion on cores>=4.\"\n}}",
-        n100.events,
-        n100.pops,
-        n100.pops as f64 / n100.events as f64,
-        n100.events_per_sec(),
-    );
-    let path = std::env::var("VERUS_BENCH_OUT").unwrap_or_else(|_| "BENCH_3.json".into());
-    std::fs::write(&path, json + "\n").expect("write scale record");
-    println!("→ wrote {path}");
 }

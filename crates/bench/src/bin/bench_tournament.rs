@@ -26,9 +26,8 @@
 //! * The ABC protocol's runs — and only those — enable the in-network
 //!   marker (`SimConfig.abc`); every other cell runs with marks
 //!   dormant, so the tournament perturbs no byte-identical path.
-//! * The deep-buffer crowd cell runs on the sharded multi-core
-//!   scheduler (`SchedulerKind::Sharded`), whose reports are
-//!   byte-identical to the sequential wheel.
+//! * Every cell, the deep-buffer crowd included, runs on the default
+//!   timing-wheel scheduler.
 //!
 //! Output: `TOURNAMENT_0.json` (override with `VERUS_BENCH_OUT`),
 //! hand-rolled with fixed-precision floats so same-seed runs are
@@ -40,9 +39,7 @@ use verus_bench::cc_by_name;
 use verus_cellular::{OperatorModel, Scenario, StressScenario, Trace};
 use verus_netsim::chaos::ChaosSchedule;
 use verus_netsim::queue::QueueConfig;
-use verus_netsim::{
-    AbcConfig, BottleneckConfig, FlowConfig, FlowReport, SchedulerKind, SimConfig, Simulation,
-};
+use verus_netsim::{AbcConfig, BottleneckConfig, FlowConfig, FlowReport, SimConfig, Simulation};
 use verus_nettypes::{CongestionControl, SimDuration};
 use verus_oracle::{OracleCc, SchedulePlan};
 use verus_stats::{regret, utility, DEFAULT_DELTA};
@@ -65,7 +62,6 @@ struct ScenarioSpec {
     trace: Trace,
     flows: usize,
     queue: QueueConfig,
-    scheduler: SchedulerKind,
     impairments: ChaosSchedule,
     /// Outage windows the omniscient planner must schedule around.
     outages: Vec<(verus_nettypes::SimTime, verus_nettypes::SimTime)>,
@@ -87,7 +83,6 @@ fn scenarios(duration: SimDuration, smoke: bool) -> Vec<ScenarioSpec> {
                 .expect("paper scenario trace"),
             flows: 1,
             queue: QueueConfig::paper_red(),
-            scheduler: SchedulerKind::Wheel,
             impairments: ChaosSchedule::new(SEED),
             outages: Vec::new(),
         });
@@ -110,11 +105,6 @@ fn scenarios(duration: SimDuration, smoke: bool) -> Vec<ScenarioSpec> {
                 QueueConfig::deep_droptail()
             } else {
                 QueueConfig::paper_red()
-            },
-            scheduler: if crowd {
-                SchedulerKind::Sharded { workers: 2 }
-            } else {
-                SchedulerKind::Wheel
             },
             impairments: ChaosSchedule::for_stress(s, SEED),
             outages: s.outage_train().map(|t| t.windows()).unwrap_or_default(),
@@ -171,10 +161,7 @@ fn run_cell(protocol: &str, spec: &ScenarioSpec, duration: SimDuration) -> Cell 
             None
         },
     };
-    let reports = Simulation::new(config)
-        .expect("valid config")
-        .with_scheduler(spec.scheduler)
-        .run();
+    let reports = Simulation::new(config).expect("valid config").run();
     aggregate(&reports)
 }
 

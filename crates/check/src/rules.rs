@@ -163,8 +163,8 @@ fn msg_atomic(needle: &str, _krate: &str) -> String {
 
 fn msg_thread(needle: &str, _krate: &str) -> String {
     format!(
-        "`{needle}` outside the transport crate and the audited runners \
-         (bench parallel, netsim shard); threads fork wall-clock \
+        "`{needle}` outside the transport crate and the audited bench \
+         parallel runner; threads fork wall-clock \
          nondeterminism into the workspace — keep concurrency confined to \
          the exempted modules"
     )
@@ -320,10 +320,8 @@ pub const RULESET: &[Rule] = &[
     Rule {
         // Concurrency stays confined to the crates whose thread
         // interactions are modeled (verus-model) and sanitized: the
-        // transport endpoints, the model checker itself, the bench
-        // parallel runner, and the sharded-simulator runner (whose
-        // barrier protocol is modeled in verus-model and whose output
-        // is byte-compared against the sequential engine in CI). New
+        // transport endpoints, the model checker itself, and the bench
+        // parallel runner. The simulator is single-threaded. New
         // thread use needs a new exemption row here, reviewed — never
         // a blanket `allow(...)` in the source file.
         name: "no-thread-outside-transport",
@@ -331,10 +329,7 @@ pub const RULESET: &[Rule] = &[
         scope: Scope::NotCrates(&["transport", "model"]),
         targets: LIB_AND_BIN,
         skip_cfg_test: true,
-        exempt_files: &[
-            "crates/bench/src/parallel.rs",
-            "crates/netsim/src/shard.rs",
-        ],
+        exempt_files: &["crates/bench/src/parallel.rs"],
         matcher: Matcher::Patterns(&["thread::spawn", "thread::scope", "thread::Builder"]),
         message: msg_thread,
     },

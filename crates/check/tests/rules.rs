@@ -534,24 +534,22 @@ fn threads_allowed_in_transport_model_and_parallel_runner() {
 }
 
 #[test]
-fn threads_allowed_in_netsim_shard_runner_only() {
-    // The sharded-simulator runner is a per-file exemption: `thread::scope`
-    // there is audited (barrier protocol modeled in verus-model, output
-    // byte-compared against the sequential engine), but the exemption must
-    // not leak to the rest of the netsim crate.
+fn thread_scope_is_denied_in_every_netsim_file() {
+    // The simulator is single-threaded: no netsim file carries a thread
+    // exemption, including the path the removed sharded runner used.
     let scope = "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
-    assert!(scan("crates/netsim/src/shard.rs", scope).is_empty());
-    assert_eq!(
-        rules(&scan("crates/netsim/src/sim.rs", scope)),
-        ["no-thread-outside-transport"]
-    );
-    // A lookalike path outside the workspace-relative exemption entry
-    // still fires: the match is on the exact relative path, not the
-    // file name.
-    assert_eq!(
-        rules(&scan("crates/core/src/shard.rs", scope)),
-        ["no-thread-outside-transport"]
-    );
+    for rel in [
+        "crates/netsim/src/shard.rs",
+        "crates/netsim/src/sim.rs",
+        "crates/netsim/src/wheel.rs",
+        "crates/netsim/src/bin/tool.rs",
+    ] {
+        assert_eq!(
+            rules(&scan(rel, scope)),
+            ["no-thread-outside-transport"],
+            "{rel}"
+        );
+    }
 }
 
 #[test]

@@ -14,17 +14,16 @@
 //! delay at the head of the queue, `d_t` the target delay and `δ` the
 //! horizon over which standing queue should drain. The paper dilutes
 //! marks probabilistically; this simulator must not draw RNG on the
-//! channel path (the draw order is part of the sequential/sharded
-//! byte-identity contract), so the marker uses the deterministic
+//! channel path (the draw order is part of the scheduler byte-identity
+//! contract), so the marker uses the deterministic
 //! token-bucket formulation instead: tokens accrue at `tr`, each
 //! departing packet that finds a full token's worth is stamped
 //! *accelerate* and spends it, every other packet is stamped *brake*.
 //! Long-run accelerate throughput equals `tr` either way, without a
 //! single random draw.
 //!
-//! The marker lives inside the cell service ([`crate::sim`]) so the
-//! sharded merger — which owns the real cell — carries the state across
-//! `split_for_shards` for free, and is allocated only when
+//! The marker lives inside the cell service ([`crate::sim`]) and is
+//! allocated only when
 //! [`crate::SimConfig`] opts in via `abc: Some(..)`. With the default
 //! `None` every packet's mark stays `None` and the pre-ABC byte-identity
 //! suites are untouched.

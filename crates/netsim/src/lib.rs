@@ -26,10 +26,10 @@
 //! produces bit-identical reports. The event queue breaks timestamp ties
 //! by a canonical key (observer callback, then flow events in
 //! `(flow, per-flow counter)` order, then channel events) rather than a
-//! global insertion counter — which is also what lets the sharded
-//! multi-core engine ([`sim::SchedulerKind::Sharded`], [`shard`])
-//! reproduce the sequential dispatch order, and therefore every report
-//! and trace byte, from flows partitioned across worker threads.
+//! global insertion counter. The default timing-wheel scheduler and the
+//! [`Reference`](sim::SchedulerKind::Reference) heap it is checked
+//! against dispatch in exactly that order, so their reports and traces
+//! are byte-identical.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +43,6 @@ pub mod invariants;
 pub mod metrics;
 pub mod outstanding;
 pub mod queue;
-pub mod shard;
 pub mod sim;
 pub mod wheel;
 

@@ -204,6 +204,30 @@ mod tests {
                 reference.iter().next().map(|(k, v)| (*k, v)),
                 "step {step}"
             );
+            // The loss-detection scan: every bound from below the head
+            // to past the tail, mutating through the iterator.
+            let bound = 990 + (x >> 17) % 90 + step / 100;
+            let got: Vec<(u64, u64)> = t
+                .iter_below_mut(bound)
+                .map(|(k, v)| {
+                    *v += 1;
+                    (k, *v)
+                })
+                .collect();
+            let want: Vec<(u64, u64)> = reference
+                .range_mut(..bound)
+                .map(|(k, v)| {
+                    *v += 1;
+                    (*k, *v)
+                })
+                .collect();
+            assert_eq!(got, want, "step {step}, bound {bound}");
+            assert!(
+                t.iter()
+                    .map(|(k, v)| (k, *v))
+                    .eq(reference.iter().map(|(k, v)| (*k, *v))),
+                "step {step}: mutation through iter_below_mut did not stick"
+            );
         }
         let got: Vec<_> = t.iter().map(|(k, v)| (k, *v)).collect();
         let want: Vec<_> = reference.iter().map(|(k, v)| (*k, *v)).collect();

@@ -7,20 +7,18 @@
 //! timestamps an `Observe` callback dispatches first, then flow events
 //! in `(flow, per-flow schedule counter)` order, then channel events
 //! (bottleneck service, link state) in the order they were scheduled.
-//! Runs are deterministic per seed, and — because a flow's position in
-//! the dispatch order no longer depends on how *other* flows' events
-//! happened to interleave in a shared counter — the order is exactly
-//! reproducible by the sharded engine, which partitions flows across
-//! workers and merges their channel demands at a barrier.
+//! Runs are deterministic per seed, and a flow's position in the
+//! dispatch order does not depend on how *other* flows' events happened
+//! to interleave in a shared counter.
 //!
 //! Two schedulers implement that order (see [`SchedulerKind`]): the
 //! default hierarchical timing wheel ([`crate::wheel`], O(1) per event)
-//! and the original binary heap (O(log n) per event), kept as the
-//! equivalence oracle behind [`Simulation::with_scheduler`] and the
-//! `heap-sched` feature. Wheel runs additionally batch each cell TTI's
-//! deliveries (and their ACKs) into single events; the batch boundaries
-//! are chosen so the dispatch order — and therefore every report and
-//! trace byte — is identical to the per-packet oracle.
+//! with per-TTI delivery batching and coalesced RTO checks, and a
+//! [`Reference`](SchedulerKind::Reference) binary heap with one event
+//! per packet and per RTO arm, kept as the equivalence oracle behind
+//! [`Simulation::with_scheduler`]. The wheel's batch boundaries are
+//! chosen so the dispatch order — and therefore every report and trace
+//! byte — is identical to the reference.
 //!
 //! Transport model (identical for every protocol; only the congestion
 //! controller differs):
@@ -48,7 +46,6 @@ use crate::wheel::TimingWheel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 use verus_cellular::trace::Opportunity;
 use verus_nettypes::{
@@ -57,7 +54,7 @@ use verus_nettypes::{
 use verus_stats::{Reservoir, StreamingStats, ThroughputSeries};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EventKind {
+enum EventKind {
     /// Flow begins sending.
     FlowStart(usize),
     /// Controller clock tick (Verus ε epochs, Sprout 20 ms ticks).
@@ -102,10 +99,10 @@ pub(crate) enum EventKind {
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Event {
-    pub(crate) time: SimTime,
-    pub(crate) tie: u64,
-    pub(crate) kind: EventKind,
+struct Event {
+    time: SimTime,
+    tie: u64,
+    kind: EventKind,
 }
 
 impl Ord for Event {
@@ -122,56 +119,19 @@ impl PartialOrd for Event {
 
 /// Which event scheduler a [`Simulation`] runs on.
 ///
-/// Both produce the exact same dispatch order; the wheel is the fast
-/// path, the heap is the original implementation retained as the
-/// behaviour oracle (and additionally processes deliveries one event per
-/// packet instead of batching per TTI).
+/// Both produce the exact same dispatch order, so reports and traces
+/// are byte-identical; only the cost differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Hierarchical timing wheel (O(1) schedule/pop) with per-TTI
-    /// delivery batching. The default, unless the `heap-sched` feature
-    /// flips it.
+    /// delivery batching and one pending RTO check per flow. The
+    /// default.
     Wheel,
-    /// The original `BinaryHeap` scheduler with one event per packet.
-    LegacyHeap,
-    /// The pre-optimization event core, kept as the cost baseline the
-    /// scale benchmark compares against: binary-heap scheduling,
-    /// per-packet delivery events, one RTO-check event per ACK (no
-    /// timer coalescing), and `BTreeMap` outstanding tables. Behaviour
-    /// matches the other schedulers; only the constants differ.
-    NaiveHeap,
-    /// Deterministic multi-core sharding (see [`crate::shard`]): flows
-    /// are partitioned round-robin across `workers` threads, each
-    /// running its own timing wheel over its flows' events, while the
-    /// main thread owns the bottleneck (queue, RED, the channel RNG,
-    /// impairments) and merges the workers' per-round send demands in
-    /// canonical `(time, flow)` order at a lock-step barrier per cell
-    /// TTI. Reports and traces are byte-identical to [`Wheel`] for any
-    /// worker count.
-    ///
-    /// Falls back to the sequential wheel (still byte-identical, just
-    /// single-threaded) when the run shape does not shard: a fixed
-    /// bottleneck, `workers <= 1`, an observer interval shorter than
-    /// the run, no flows, or a base RTT under 2 ns (the barrier needs
-    /// strictly positive per-direction path delay).
-    ///
-    /// [`Wheel`]: SchedulerKind::Wheel
-    Sharded {
-        /// Worker thread count; `0` and `1` mean "run sequentially".
-        workers: usize,
-    },
-}
-
-impl SchedulerKind {
-    /// The build's default: wheel, unless compiled with `heap-sched`.
-    #[must_use]
-    pub fn default_for_build() -> Self {
-        if cfg!(feature = "heap-sched") {
-            SchedulerKind::LegacyHeap
-        } else {
-            SchedulerKind::Wheel
-        }
-    }
+    /// The behaviour oracle: a `BinaryHeap` with one event per
+    /// delivered packet and per ACK, and one `RtoCheck` event per RTO
+    /// arm — everything the wheel optimises away at the simulation
+    /// level, kept so the fast path has something to be compared to.
+    Reference,
 }
 
 /// Tie-space classes (see the module doc). The tie is a 64-bit key:
@@ -202,12 +162,8 @@ enum Sched {
 impl Sched {
     fn new(kind: SchedulerKind) -> Self {
         match kind {
-            SchedulerKind::Wheel | SchedulerKind::Sharded { .. } => {
-                Sched::Wheel(TimingWheel::new())
-            }
-            SchedulerKind::LegacyHeap | SchedulerKind::NaiveHeap => {
-                Sched::Heap(BinaryHeap::new())
-            }
+            SchedulerKind::Wheel => Sched::Wheel(TimingWheel::new()),
+            SchedulerKind::Reference => Sched::Heap(BinaryHeap::new()),
         }
     }
 
@@ -224,79 +180,17 @@ impl Sched {
             Sched::Heap(h) => h.pop().map(|Reverse(e)| (e.time, e.tie, e.kind)),
         }
     }
-
-    /// Pops the earliest event only if its time is `≤ bound` (the
-    /// sharded engine's per-round drain; see
-    /// [`TimingWheel::pop_next_before`]).
-    fn pop_next_before(&mut self, bound: SimTime) -> Option<(SimTime, u64, EventKind)> {
-        match self {
-            Sched::Wheel(w) => w.pop_next_before(bound),
-            Sched::Heap(h) => {
-                if h.peek().map_or(true, |Reverse(e)| e.time > bound) {
-                    return None;
-                }
-                h.pop().map(|Reverse(e)| (e.time, e.tie, e.kind))
-            }
-        }
-    }
 }
 
 /// One packet inside a delivery batch.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BatchPkt {
-    pub(crate) seq: u64,
-    pub(crate) bytes: u32,
-    pub(crate) sent_at: SimTime,
+struct BatchPkt {
+    seq: u64,
+    bytes: u32,
+    sent_at: SimTime,
     /// ABC mark stamped at cell dequeue (rides the batch so the ACK
     /// can echo it; `None` when marking is off).
-    pub(crate) abc: Option<bool>,
-}
-
-/// One packet a sharded worker wants to launch into the channel: the
-/// flow half of `send_packet` already ran on the worker; the merger
-/// replays the channel half (loss draw, impairments, queue admission)
-/// for all workers' launches in global `(time, flow)` order, which is
-/// exactly the order the sequential engine interleaves them in.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Launch {
-    pub(crate) time: SimTime,
-    /// Global flow id.
-    pub(crate) flow: usize,
-    pub(crate) seq: u64,
-    pub(crate) bytes: u32,
-}
-
-/// Whether this `Simulation` is the whole world or one shard of it.
-enum Mode {
-    /// The sequential engine: owns flows *and* the bottleneck.
-    Full,
-    /// A sharded worker: owns the flows with `global % stride == w`
-    /// (local index `l` ⇔ global `l * stride + w`), appends its send
-    /// demands to `launches` instead of touching the channel, and never
-    /// draws from the RNG or the queue — those live with the merger.
-    Worker {
-        launches: Vec<Launch>,
-        w: usize,
-        stride: usize,
-    },
-}
-
-/// The merger's per-flow slice of the packet-conservation ledger: every
-/// counter the *channel half* of the pipeline owns. Workers keep the
-/// flow-half counters (`sent`, `delivered`, `shed_dropped`, …) in their
-/// `FlowState`s; at quiesce the two halves fold into one report.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ChanLedger {
-    pub(crate) radio_lost: u64,
-    pub(crate) impaired_lost: u64,
-    pub(crate) dup_injected: u64,
-    pub(crate) queue_drops: u64,
-    pub(crate) corrupt_dropped: u64,
-    pub(crate) in_queue: u64,
-    /// Packets that left the queue onto the wire (the sequential
-    /// engine's `in_transit` increments); minus the worker's delivered
-    /// count this is the residual in-transit figure.
-    pub(crate) departed: u64,
+    abc: Option<bool>,
 }
 
 /// A TTI's worth of same-flow, same-arrival-time packets, carried first
@@ -319,85 +213,7 @@ struct PacketMeta {
     gap_deadline: Option<SimTime>,
 }
 
-/// Per-flow outstanding-packet store. `Ring` is the slab/ring-buffer
-/// fast path; `Tree` is the original `BTreeMap`, kept so
-/// [`SchedulerKind::NaiveHeap`] can reproduce the pre-optimization cost
-/// model exactly. Both expose identical key-ordered semantics.
-enum Outstanding {
-    Ring(OutstandingTable<PacketMeta>),
-    Tree(BTreeMap<u64, PacketMeta>),
-}
-
-impl Outstanding {
-    fn get(&self, seq: u64) -> Option<&PacketMeta> {
-        match self {
-            Outstanding::Ring(t) => t.get(seq),
-            Outstanding::Tree(t) => t.get(&seq),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Outstanding::Ring(t) => t.len(),
-            Outstanding::Tree(t) => t.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn insert(&mut self, seq: u64, meta: PacketMeta) {
-        match self {
-            Outstanding::Ring(t) => {
-                t.insert(seq, meta);
-            }
-            Outstanding::Tree(t) => {
-                t.insert(seq, meta);
-            }
-        }
-    }
-
-    fn remove(&mut self, seq: u64) -> Option<PacketMeta> {
-        match self {
-            Outstanding::Ring(t) => t.remove(seq),
-            Outstanding::Tree(t) => t.remove(&seq),
-        }
-    }
-
-    fn front(&self) -> Option<(u64, &PacketMeta)> {
-        match self {
-            Outstanding::Ring(t) => t.front(),
-            Outstanding::Tree(t) => t.iter().next().map(|(k, v)| (*k, v)),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Outstanding::Ring(t) => t.clear(),
-            Outstanding::Tree(t) => t.clear(),
-        }
-    }
-
-    /// Visits every live `(seq, meta)` with `seq < bound` in ascending
-    /// order (the loss-detection scan).
-    fn for_each_below_mut(&mut self, bound: u64, mut f: impl FnMut(u64, &mut PacketMeta)) {
-        match self {
-            Outstanding::Ring(t) => {
-                for (seq, m) in t.iter_below_mut(bound) {
-                    f(seq, m);
-                }
-            }
-            Outstanding::Tree(t) => {
-                for (seq, m) in t.range_mut(..bound) {
-                    f(*seq, m);
-                }
-            }
-        }
-    }
-}
-
-pub(crate) struct FlowState {
+struct FlowState {
     cc: Box<dyn CongestionControl>,
     start: SimTime,
     extra_fwd_delay: SimDuration,
@@ -413,11 +229,11 @@ pub(crate) struct FlowState {
     completed_at: Option<SimTime>,
     started: bool,
     next_seq: u64,
-    outstanding: Outstanding,
+    outstanding: OutstandingTable<PacketMeta>,
     rtt: RttEstimator,
     rto_deadline: Option<SimTime>,
-    /// Earliest pending `RtoCheck` event for this flow (coalesced-timer
-    /// builds; `None` when no check is in flight or coalescing is off).
+    /// Earliest pending `RtoCheck` event for this flow (wheel scheduler;
+    /// always `None` under the reference, which does not coalesce).
     rto_check_at: Option<SimTime>,
     rto_retries: u32,
     // metrics
@@ -479,17 +295,15 @@ enum Service {
 
 /// The trace-driven cell bottleneck: a looping schedule of delivery
 /// opportunities and the byte credit they accumulate against a backlog.
-/// A struct (not enum payload) so the sharded merger can own it whole
-/// and drain with the very same code path as the sequential engine.
-pub(crate) struct CellService {
+struct CellService {
     opportunities: Vec<Opportunity>,
     next_index: usize,
     base_duration: SimDuration,
     loop_offset: SimDuration,
     /// Accumulated byte credit while the queue is backlogged.
     credit: u64,
-    pub(crate) base_rtt: SimDuration,
-    pub(crate) loss: f64,
+    base_rtt: SimDuration,
+    loss: f64,
     /// ABC accelerate/brake marker; allocated only when the simulation
     /// opts in, so the default path touches no marker state at all.
     abc: Option<crate::abc::AbcMarker>,
@@ -514,28 +328,12 @@ impl CellService {
         }
     }
 
-    /// A worker's stand-in service: carries the path parameters (the
-    /// worker computes ACK delays from `base_rtt`) but holds no
-    /// opportunities — workers never drain; the merger does.
-    fn stub(base_rtt: SimDuration, loss: f64) -> Self {
-        Self {
-            opportunities: Vec::new(),
-            next_index: 0,
-            base_duration: SimDuration::from_nanos(1),
-            loop_offset: SimDuration::ZERO,
-            credit: 0,
-            base_rtt,
-            loss,
-            abc: None,
-        }
-    }
-
     /// Processes one delivery opportunity: accumulates credit against a
     /// backlog, dequeues every packet the credit covers into
     /// `deliveries`, and returns the next opportunity's (loop-adjusted)
     /// time. During a blackout the opportunity is wasted — no drain, no
     /// banked credit; the radio is gone, not merely idle.
-    pub(crate) fn drain(
+    fn drain(
         &mut self,
         now: SimTime,
         blackout: bool,
@@ -585,87 +383,16 @@ impl CellService {
     }
 }
 
-/// The counters one packet's traversal of the channel pipeline (loss
-/// draw → impairments → queue admission) can bump: borrowed either from
-/// the owning `FlowState` (sequential engine) or from the merger's
-/// [`ChanLedger`] (sharded engine), so both run the identical code.
-pub(crate) struct ChanCounters<'a> {
-    pub(crate) radio_lost: &'a mut u64,
-    pub(crate) impaired_lost: &'a mut u64,
-    pub(crate) dup_injected: &'a mut u64,
-    pub(crate) queue_drops: &'a mut u64,
-    pub(crate) in_queue: &'a mut u64,
-}
-
-/// The channel half of a packet launch: the stochastic (radio) loss
-/// draw, the ingress impairment stage, and one queue-admission attempt
-/// per surviving copy. Returns how many copies were queued. The RNG
-/// draw order (loss uniform, then one uniform per copy) is part of the
-/// byte-identity contract between the sequential and sharded engines.
-pub(crate) fn launch_into_channel(
-    rng: &mut StdRng,
-    impairments: &mut Impairments,
-    queue: &mut Queue,
-    loss: f64,
-    now: SimTime,
-    flow: usize,
-    seq: u64,
-    bytes: u32,
-    c: ChanCounters<'_>,
-) -> u64 {
-    // Stochastic (radio) loss happens before the queue: the packet
-    // simply never arrives; the sender finds out via its detectors.
-    if loss > 0.0 && rng.gen::<f64>() < loss {
-        *c.radio_lost += 1;
-        return 0;
-    }
-    // Impairment stage (blackouts, burst loss, duplication); draws
-    // from its own RNG stream, so a no-op pipeline leaves the base
-    // channel's random sequence untouched.
-    let copies = match impairments.on_ingress(now) {
-        IngressFate::Lost => {
-            *c.impaired_lost += 1;
-            return 0;
-        }
-        IngressFate::Pass { duplicate: false } => 1,
-        IngressFate::Pass { duplicate: true } => {
-            *c.dup_injected += 1;
-            2
-        }
-    };
-    let mut queued = 0;
-    for _ in 0..copies {
-        let uniform = rng.gen::<f64>();
-        let accepted = queue.enqueue(
-            QueuedPacket {
-                flow,
-                seq,
-                bytes,
-                enqueued: now,
-                abc_mark: None,
-            },
-            uniform,
-        );
-        if accepted == EnqueueResult::Queued {
-            *c.in_queue += 1;
-            queued += 1;
-        } else {
-            *c.queue_drops += 1;
-        }
-    }
-    queued
-}
-
 /// Builds one flow's report at quiesce. The thread's trace lane is set
-/// to the flow's global id for the duration: consuming the `FlowState`
-/// drops its controller, and a controller holding a `TraceHandle`
-/// flushes its buffered tail records on drop — those must land on the
-/// flow's lane in both engines for the exported JSONL to match.
-pub(crate) fn build_report(global: usize, f: FlowState, end_secs: f64) -> FlowReport {
-    verus_trace::lane::set(u32::try_from(global).unwrap_or(u32::MAX - 1));
+/// to the flow's id for the duration: consuming the `FlowState` drops
+/// its controller, and a controller holding a `TraceHandle` flushes its
+/// buffered tail records on drop — those must land on the flow's lane
+/// like every other record it emitted.
+fn build_report(flow: usize, f: FlowState, end_secs: f64) -> FlowReport {
+    verus_trace::lane::set(u32::try_from(flow).unwrap_or(u32::MAX - 1));
     let report = FlowReport {
         protocol: f.cc.name().to_string(),
-        flow: global,
+        flow,
         throughput: f.throughput,
         delays_ms: f.delays.into_samples(),
         delay_stats: f.delay_stats,
@@ -693,66 +420,13 @@ pub(crate) fn build_report(global: usize, f: FlowState, end_secs: f64) -> FlowRe
     report
 }
 
-/// Folds the merger's channel-half ledger into a worker flow's own
-/// (flow-half) counters and builds the report. The fold is also where
-/// packet conservation is re-checked for sharded runs: a worker's
-/// per-event check sees only half the ledger, so it is skipped there
-/// and enforced here on the whole.
-pub(crate) fn finish_worker_flow(
-    global: usize,
-    mut f: FlowState,
-    led: &ChanLedger,
-    end_secs: f64,
-) -> FlowReport {
-    f.radio_lost = led.radio_lost;
-    f.impaired_lost = led.impaired_lost;
-    f.dup_injected = led.dup_injected;
-    f.queue_drops = led.queue_drops;
-    f.corrupt_dropped = led.corrupt_dropped;
-    f.in_queue = led.in_queue;
-    f.in_transit = led.departed.saturating_sub(f.delivered);
-    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
-    crate::invariants::packet_conservation(global, &f.ledger());
-    build_report(global, f, end_secs)
-}
-
-/// The merger's share of a [`Simulation::split_for_shards`]: everything
-/// the channel half of the pipeline owns — the bottleneck queue and
-/// service, the base RNG, the impairment pipeline, and the pending
-/// channel-class events with their tie counter.
-pub(crate) struct MergeParts {
-    pub(crate) end: SimTime,
-    pub(crate) queue: Queue,
-    pub(crate) cell: CellService,
-    pub(crate) rng: StdRng,
-    pub(crate) impairments: Impairments,
-    pub(crate) chan_events: BinaryHeap<Reverse<Event>>,
-    pub(crate) chan_ctr: u64,
-    /// Per *global* flow: `extra_fwd_delay` (the merger computes
-    /// delivery times; workers compute ACK times from their own copy).
-    pub(crate) fwd_extra: Vec<SimDuration>,
-}
-
-impl MergeParts {
-    /// Schedules a channel-class event, continuing the tie sequence the
-    /// pre-split `Simulation` started (see [`CHAN_CLASS`]).
-    pub(crate) fn schedule_chan(&mut self, time: SimTime, kind: EventKind) {
-        self.chan_ctr += 1;
-        self.chan_events.push(Reverse(Event {
-            time,
-            tie: CHAN_CLASS | self.chan_ctr,
-            kind,
-        }));
-    }
-}
-
 /// Rounds an RTO deadline up to the next timing-wheel granule boundary
 /// (2²⁰ ns ≈ 1.05 ms). The deadline restarts on every ACK, so an exact
 /// deadline almost never fires where it was armed, yet every distinct
 /// value the tracked check re-arms at costs a scheduler insert.
 /// Quantized, all re-arm targets inside one granule collapse to a single
 /// deadline — one insert per (flow, granule). Applied identically under
-/// every scheduler (including the heap oracles) so the engines stay
+/// every scheduler (including the reference) so the engines stay
 /// byte-identical; an RTO fires at most ~1.05 ms later than the RFC 6298
 /// value, well inside its own safety margin.
 fn quantize_rto(deadline: SimTime) -> SimTime {
@@ -775,12 +449,6 @@ pub struct Simulation {
     sched_kind: SchedulerKind,
     /// Monotone counter for channel-class event ties (see [`CHAN_CLASS`]).
     chan_ctr: u64,
-    /// One pending RTO-check event per flow instead of one per ACK
-    /// (off only under [`SchedulerKind::NaiveHeap`]).
-    rto_coalesce: bool,
-    /// Whether cell TTI deliveries are coalesced into batch events
-    /// (wheel scheduler only; the heap oracle stays per-packet).
-    batching: bool,
     flows: Vec<FlowState>,
     queue: Queue,
     service: Service,
@@ -811,11 +479,6 @@ pub struct Simulation {
     /// Flows whose ledger the current event touched (invariant builds
     /// only) — conservation is checked per touched flow, not per flow.
     scratch_touched: Vec<usize>,
-    /// Raw scheduler pops (mirrors the run loop's local counter for the
-    /// sharded workers, whose rounds cross method boundaries).
-    pops: u64,
-    /// Full world or one shard of it (see [`Mode`]).
-    mode: Mode,
 }
 
 impl Simulation {
@@ -849,7 +512,7 @@ impl Simulation {
                 completed_at: None,
                 started: false,
                 next_seq: 0,
-                outstanding: Outstanding::Ring(OutstandingTable::new()),
+                outstanding: OutstandingTable::new(),
                 rtt: RttEstimator::default(),
                 rto_deadline: None,
                 rto_check_at: None,
@@ -886,18 +549,12 @@ impl Simulation {
             } => Service::Cell(CellService::from_trace(trace, base_rtt, loss, config.abc)),
         };
 
-        let scheduler = SchedulerKind::default_for_build();
         let mut sim = Self {
             now: SimTime::ZERO,
             end,
-            sched: Sched::new(scheduler),
-            sched_kind: scheduler,
+            sched: Sched::new(SchedulerKind::Wheel),
+            sched_kind: SchedulerKind::Wheel,
             chan_ctr: 0,
-            rto_coalesce: scheduler != SchedulerKind::NaiveHeap,
-            batching: matches!(
-                scheduler,
-                SchedulerKind::Wheel | SchedulerKind::Sharded { .. }
-            ),
             flows,
             queue: Queue::new(config.queue),
             service,
@@ -914,8 +571,6 @@ impl Simulation {
             scratch_arm: Vec::new(),
             scratch_groups: Vec::new(),
             scratch_touched: Vec::new(),
-            pops: 0,
-            mode: Mode::Full,
         };
 
         for i in 0..sim.flows.len() {
@@ -948,26 +603,12 @@ impl Simulation {
     /// Schedules a flow-class event. The tie encodes `(flow, per-flow
     /// counter)`, so same-timestamp flow events dispatch in flow order
     /// and, within a flow, in the order they were scheduled — independent
-    /// of any other flow's activity. That independence is what lets a
-    /// sharded worker owning a subset of flows assign exactly the ties
-    /// the sequential engine would.
+    /// of any other flow's activity.
     fn schedule_flow(&mut self, flow: usize, time: SimTime, kind: EventKind) {
         let ctr = self.flows[flow].ctr;
         self.flows[flow].ctr = ctr + 1;
-        let g = self.global_flow(flow) as u64;
-        let tie = FLOW_CLASS | (g << 32) | u64::from(ctr);
+        let tie = FLOW_CLASS | ((flow as u64) << 32) | u64::from(ctr);
         self.sched.push(time, tie, kind);
-    }
-
-    /// The flow's global id: its index in `Full` mode, the round-robin
-    /// un-mapping `local * stride + w` on a sharded worker. Ties, trace
-    /// lanes and reports always use the global id, so a worker's events
-    /// carry exactly the keys the sequential engine would assign.
-    fn global_flow(&self, flow: usize) -> usize {
-        match self.mode {
-            Mode::Full => flow,
-            Mode::Worker { w, stride, .. } => flow * stride + w,
-        }
     }
 
     /// Schedules a channel-class event (bottleneck service, link state).
@@ -1030,31 +671,6 @@ impl Simulation {
             self.sched.push(time, tie, ev);
         }
         self.sched_kind = kind;
-        self.batching = matches!(kind, SchedulerKind::Wheel | SchedulerKind::Sharded { .. });
-        self.rto_coalesce = kind != SchedulerKind::NaiveHeap;
-        // The naive core keeps its original BTreeMap tables; everything
-        // else runs the ring table. Entries migrate either way (empty in
-        // practice: the switch happens before `run`).
-        for f in &mut self.flows {
-            let naive = kind == SchedulerKind::NaiveHeap;
-            let is_tree = matches!(f.outstanding, Outstanding::Tree(_));
-            if naive != is_tree {
-                let mut moved: Vec<(u64, PacketMeta)> = Vec::new();
-                match &f.outstanding {
-                    Outstanding::Ring(t) => moved.extend(t.iter().map(|(k, v)| (k, *v))),
-                    Outstanding::Tree(t) => moved.extend(t.iter().map(|(k, v)| (*k, *v))),
-                }
-                let mut next = if naive {
-                    Outstanding::Tree(BTreeMap::new())
-                } else {
-                    Outstanding::Ring(OutstandingTable::new())
-                };
-                for (k, v) in moved {
-                    next.insert(k, v);
-                }
-                f.outstanding = next;
-            }
-        }
         self
     }
 
@@ -1102,15 +718,6 @@ impl Simulation {
         self.run_observed_counting(interval, observer, &mut events, &mut pops)
     }
 
-    /// Whether a [`SchedulerKind::Sharded`] run actually shards (see the
-    /// variant's docs for the fallback conditions).
-    fn can_shard(&self, workers: usize, interval: SimDuration) -> bool {
-        workers > 1
-            && !self.flows.is_empty()
-            && interval >= self.end.saturating_since(SimTime::ZERO)
-            && matches!(&self.service, Service::Cell(c) if c.base_rtt >= SimDuration::from_nanos(2))
-    }
-
     fn run_observed_counting<F>(
         mut self,
         interval: SimDuration,
@@ -1121,11 +728,6 @@ impl Simulation {
     where
         F: FnMut(SimTime, &[&dyn CongestionControl]),
     {
-        if let SchedulerKind::Sharded { workers } = self.sched_kind {
-            if self.can_shard(workers, interval) {
-                return crate::shard::run_sharded(self, workers, events_out, pops_out);
-            }
-        }
         if interval < self.end.saturating_since(SimTime::ZERO) {
             self.sched
                 .push(SimTime::ZERO + interval, OBSERVE_TIE, EventKind::Observe);
@@ -1177,12 +779,6 @@ impl Simulation {
     fn check_conservation(&self) {
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
         {
-            // A worker's ledger is only half the story (the channel
-            // counters live with the merger); conservation is re-checked
-            // per flow on the folded ledger at quiesce instead.
-            if !matches!(self.mode, Mode::Full) {
-                return;
-            }
             for &i in &self.scratch_touched {
                 crate::invariants::packet_conservation(i, &self.flows[i].ledger());
             }
@@ -1223,15 +819,11 @@ impl Simulation {
 
     fn dispatch(&mut self, kind: EventKind) {
         // Tag the thread with the flow whose event this is, so trace
-        // records it emits (possibly via batched flushes) are exported
-        // in an order both the sequential and the sharded engine agree
-        // on. Channel events untag: their record attribution (none in
-        // practice) must not leak a stale lane.
+        // records it emits (possibly via batched flushes) are exported in
+        // `(t_ns, flow)` order. Channel events untag: their record
+        // attribution (none in practice) must not leak a stale lane.
         match self.event_flow(&kind) {
-            Some(f) => {
-                let g = self.global_flow(f);
-                verus_trace::lane::set(u32::try_from(g).unwrap_or(u32::MAX - 1));
-            }
+            Some(f) => verus_trace::lane::set(u32::try_from(f).unwrap_or(u32::MAX - 1)),
             None => verus_trace::lane::clear(),
         }
         match kind {
@@ -1336,8 +928,9 @@ impl Simulation {
             EventKind::RtoCheck(i) => {
                 self.touch(i);
                 // Coalesced timers: only the tracked (earliest) check
-                // re-arms; stale duplicates fall through as no-ops.
-                let tracked = self.rto_coalesce && self.flows[i].rto_check_at == Some(self.now);
+                // re-arms; stale duplicates fall through as no-ops. The
+                // reference scheduler tracks none and re-arms per ACK.
+                let tracked = self.flows[i].rto_check_at == Some(self.now);
                 if tracked {
                     self.flows[i].rto_check_at = None;
                 }
@@ -1486,47 +1079,44 @@ impl Simulation {
             f.rto_deadline = Some(deadline);
             self.arm_rto_check(flow, deadline);
         }
-        // Sharded worker: the channel half (loss draw, impairments,
-        // queue admission) is the merger's job — log the launch and
-        // stop. The merger replays all workers' logs in `(time, flow)`
-        // order, which reproduces the sequential RNG stream exactly.
-        let g = self.global_flow(flow);
-        if let Mode::Worker {
-            ref mut launches, ..
-        } = self.mode
-        {
-            launches.push(Launch {
-                time: now,
-                flow: g,
-                seq,
-                bytes,
-            });
+        // Stochastic (radio) loss happens before the queue: the packet
+        // simply never arrives; the sender finds out via its detectors.
+        let loss = self.loss_prob();
+        if loss > 0.0 && self.rng.gen::<f64>() < loss {
+            self.flows[flow].radio_lost += 1;
             return;
         }
-        let loss = self.loss_prob();
-        let f = &mut self.flows[flow];
-        let queued = launch_into_channel(
-            &mut self.rng,
-            &mut self.impairments,
-            &mut self.queue,
-            loss,
-            now,
-            flow,
-            seq,
-            bytes,
-            ChanCounters {
-                radio_lost: &mut f.radio_lost,
-                impaired_lost: &mut f.impaired_lost,
-                dup_injected: &mut f.dup_injected,
-                queue_drops: &mut f.queue_drops,
-                in_queue: &mut f.in_queue,
-            },
-        );
-        self.in_queue_total += queued;
-        for _ in 0..queued {
-            // One kick per accepted copy, as the inline loop did. (The
-            // second call is a no-op: the link is already busy.)
-            self.maybe_start_fixed_service();
+        // Impairment stage (blackouts, burst loss, duplication); draws
+        // from its own RNG stream, so a no-op pipeline leaves the base
+        // channel's random sequence untouched.
+        let copies = match self.impairments.on_ingress(now) {
+            IngressFate::Lost => {
+                self.flows[flow].impaired_lost += 1;
+                return;
+            }
+            IngressFate::Pass { duplicate: false } => 1,
+            IngressFate::Pass { duplicate: true } => {
+                self.flows[flow].dup_injected += 1;
+                2
+            }
+        };
+        for _ in 0..copies {
+            let uniform = self.rng.gen::<f64>();
+            let pkt = QueuedPacket {
+                flow,
+                seq,
+                bytes,
+                enqueued: now,
+                abc_mark: None,
+            };
+            if self.queue.enqueue(pkt, uniform) == EnqueueResult::Queued {
+                self.flows[flow].in_queue += 1;
+                self.in_queue_total += 1;
+                // A no-op for the second copy: the link is already busy.
+                self.maybe_start_fixed_service();
+            } else {
+                self.flows[flow].queue_drops += 1;
+            }
         }
     }
 
@@ -1573,14 +1163,8 @@ impl Simulation {
     /// Ledger + metrics bookkeeping for one packet reaching the
     /// receiver (shared by per-packet `Deliver` and `DeliverBatch`).
     fn record_delivery(&mut self, flow: usize, bytes: u32, sent_at: SimTime) {
-        // On a sharded worker the matching increment lives in the
-        // merger's ledger (`ChanLedger::departed`); the quiesce fold
-        // computes the residual as `departed - delivered`.
-        let full = matches!(self.mode, Mode::Full);
         let f = &mut self.flows[flow];
-        if full {
-            f.in_transit -= 1;
-        }
+        f.in_transit -= 1;
         f.delivered += 1;
         f.delivered_bytes += u64::from(bytes);
         if let Some(limit) = f.transfer_bytes {
@@ -1693,7 +1277,7 @@ impl Simulation {
         // across the whole TTI is also the many-flow perf fix: round-
         // robin queue drains fragment *adjacent* runs into near-per-
         // packet batches, but per-(flow, arrival) groups stay whole.
-        if self.batching {
+        if self.sched_kind == SchedulerKind::Wheel {
             let mut groups = std::mem::take(&mut self.scratch_groups);
             debug_assert!(groups.is_empty());
             for pkt in deliveries.drain(..) {
@@ -1792,21 +1376,23 @@ impl Simulation {
             let f = &mut self.flows[flow];
             let detection = f.loss_detection;
             let srtt = f.rtt.srtt_or(SimDuration::from_millis(200));
-            f.outstanding.for_each_below_mut(seq, |hole, m| match detection {
-                LossDetection::PacketThreshold { threshold } => {
-                    m.later_acks += 1;
-                    if m.later_acks >= threshold {
-                        condemned.push(hole);
+            for (hole, m) in f.outstanding.iter_below_mut(seq) {
+                match detection {
+                    LossDetection::PacketThreshold { threshold } => {
+                        m.later_acks += 1;
+                        if m.later_acks >= threshold {
+                            condemned.push(hole);
+                        }
+                    }
+                    LossDetection::GapTimer { factor } => {
+                        if m.gap_deadline.is_none() {
+                            let deadline = now + srtt.mul_f64(factor);
+                            m.gap_deadline = Some(deadline);
+                            to_arm.push((hole, deadline));
+                        }
                     }
                 }
-                LossDetection::GapTimer { factor } => {
-                    if m.gap_deadline.is_none() {
-                        let deadline = now + srtt.mul_f64(factor);
-                        m.gap_deadline = Some(deadline);
-                        to_arm.push((hole, deadline));
-                    }
-                }
-            });
+            }
         }
         for (hole, deadline) in to_arm.drain(..) {
             self.schedule_flow(flow, deadline, EventKind::GapTimer { flow, seq: hole });
@@ -1874,13 +1460,12 @@ impl Simulation {
     }
 
     /// Ensures an `RtoCheck` event will fire at (or before, re-arming
-    /// toward) `deadline`. Coalesced builds keep at most one *tracked*
-    /// pending check per flow: a check scheduled for an earlier time
-    /// covers every later deadline, because on firing it re-arms at the
-    /// then-current deadline. The naive core schedules one event per
-    /// call, exactly like the original implementation.
+    /// toward) `deadline`. The wheel keeps at most one *tracked* pending
+    /// check per flow: a check scheduled for an earlier time covers every
+    /// later deadline, because on firing it re-arms at the then-current
+    /// deadline. The reference scheduler schedules one event per call.
     fn arm_rto_check(&mut self, flow: usize, deadline: SimTime) {
-        if !self.rto_coalesce {
+        if self.sched_kind == SchedulerKind::Reference {
             self.schedule_flow(flow, deadline, EventKind::RtoCheck(flow));
             return;
         }
@@ -1891,161 +1476,6 @@ impl Simulation {
                 self.schedule_flow(flow, deadline, EventKind::RtoCheck(flow));
             }
         }
-    }
-
-    // ---- sharding (see `crate::shard`) ---------------------------------
-
-    /// Tears a fully-configured simulation into the merger's channel
-    /// state and `workers` worker shards. Flow `g` goes to worker
-    /// `g % workers` (local index `g / workers`); each worker re-assigns
-    /// its flows' `FlowStart` events from a reset per-flow counter, so
-    /// every tie it will ever issue matches what the sequential engine
-    /// would have issued for the same flow. Workers get inert stand-ins
-    /// for the channel state (an empty service, a dummy queue, a
-    /// never-drawn RNG, a no-op impairment pipeline): the merger owns
-    /// the real ones.
-    pub(crate) fn split_for_shards(self, workers: usize) -> (MergeParts, Vec<Simulation>) {
-        let Simulation {
-            end,
-            mut sched,
-            chan_ctr,
-            flows,
-            queue,
-            service,
-            rng,
-            impairments,
-            seed,
-            record_delay_samples,
-            ..
-        } = self;
-        debug_assert!(matches!(service, Service::Cell(_)), "can_shard requires a cell bottleneck");
-        let cell = match service {
-            Service::Cell(c) => c,
-            // Unreachable behind `can_shard`; an inert service keeps
-            // this path panic-free.
-            Service::Fixed { .. } => CellService::stub(SimDuration::from_nanos(2), 0.0),
-        };
-        // Channel-class events (the first cell opportunity, blackout
-        // ends) move to the merger with their original ties; the only
-        // flow-class events that exist before `run` are the `FlowStart`s,
-        // which the workers re-create below.
-        let mut chan_events: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        while let Some((time, tie, kind)) = sched.pop_next() {
-            if tie & CHAN_CLASS != 0 {
-                chan_events.push(Reverse(Event { time, tie, kind }));
-            } else {
-                debug_assert!(
-                    matches!(kind, EventKind::FlowStart(_)),
-                    "pre-run scheduler held a non-FlowStart flow event"
-                );
-            }
-        }
-        let fwd_extra: Vec<SimDuration> = flows.iter().map(|f| f.extra_fwd_delay).collect();
-        let (base_rtt, loss) = (cell.base_rtt, cell.loss);
-        let mut worker_flows: Vec<Vec<FlowState>> = (0..workers).map(|_| Vec::new()).collect();
-        for (g, mut f) in flows.into_iter().enumerate() {
-            f.ctr = 0;
-            worker_flows[g % workers].push(f);
-        }
-        let sims: Vec<Simulation> = worker_flows
-            .into_iter()
-            .enumerate()
-            .map(|(w, wf)| {
-                let mut sim = Simulation {
-                    now: SimTime::ZERO,
-                    end,
-                    sched: Sched::new(SchedulerKind::Wheel),
-                    sched_kind: SchedulerKind::Wheel,
-                    chan_ctr: 0,
-                    rto_coalesce: true,
-                    batching: true,
-                    flows: wf,
-                    queue: Queue::new(crate::queue::QueueConfig::deep_droptail()),
-                    service: Service::Cell(CellService::stub(base_rtt, loss)),
-                    rng: StdRng::seed_from_u64(seed),
-                    impairments: Impairments::new(
-                        crate::impairment::ImpairmentConfig::default(),
-                    ),
-                    seed,
-                    record_delay_samples,
-                    events: 0,
-                    in_queue_total: 0,
-                    batches: Vec::new(),
-                    batch_free: Vec::new(),
-                    scratch_deliveries: Vec::new(),
-                    scratch_condemned: Vec::new(),
-                    scratch_arm: Vec::new(),
-                    scratch_groups: Vec::new(),
-                    scratch_touched: Vec::new(),
-                    pops: 0,
-                    mode: Mode::Worker {
-                        launches: Vec::new(),
-                        w,
-                        stride: workers,
-                    },
-                };
-                for i in 0..sim.flows.len() {
-                    let start = sim.flows[i].start;
-                    sim.schedule_flow(i, start, EventKind::FlowStart(i));
-                }
-                sim
-            })
-            .collect();
-        (
-            MergeParts {
-                end,
-                queue,
-                cell,
-                rng,
-                impairments,
-                chan_events,
-                chan_ctr,
-                fwd_extra,
-            },
-            sims,
-        )
-    }
-
-    /// One sharded round: drains every event with `time ≤ bound` (the
-    /// same loop body as the sequential engine, bounded) and returns the
-    /// launches logged along the way — already in `(time, flow)` order,
-    /// because events dispatch in `(time, tie)` order and a launch
-    /// carries its dispatching event's time and flow.
-    pub(crate) fn run_round(&mut self, bound: SimTime) -> Vec<Launch> {
-        while let Some((time, _tie, kind)) = self.sched.pop_next_before(bound) {
-            self.now = time;
-            self.events += 1;
-            self.pops += 1;
-            if crate::invariants::ENABLED {
-                self.scratch_touched.clear();
-            }
-            self.dispatch(kind);
-            self.check_conservation();
-        }
-        match self.mode {
-            Mode::Worker {
-                ref mut launches, ..
-            } => std::mem::take(launches),
-            Mode::Full => Vec::new(),
-        }
-    }
-
-    /// Installs one delivery batch the merger routed here: allocates a
-    /// slot and schedules the `DeliverBatch`, consuming this flow's tie
-    /// counter exactly when the sequential engine's TTI drain would
-    /// have (batches are ingested in the merger's group order, before
-    /// the round whose events run after the drain's timestamp).
-    pub(crate) fn ingest_batch(&mut self, local: usize, at: SimTime, pkts: Vec<BatchPkt>) {
-        let slot = self.alloc_batch(local);
-        debug_assert!(self.batches[slot].pkts.is_empty());
-        self.batches[slot].pkts = pkts;
-        self.schedule_flow(local, at, EventKind::DeliverBatch(slot));
-    }
-
-    /// Tears a finished worker down into its flows and its
-    /// `(logical events, raw pops)` counters.
-    pub(crate) fn into_worker_parts(self) -> (Vec<FlowState>, u64, u64) {
-        (self.flows, self.events, self.pops)
     }
 }
 

@@ -192,8 +192,8 @@ impl<K> TimingWheel<K> {
 
     /// Like [`TimingWheel::pop_next`], but only if the earliest event's
     /// time is `≤ bound`; otherwise returns `None` and leaves the event
-    /// pending. The sharded engine drains each worker up to a barrier
-    /// time with this.
+    /// pending. Wall-clock loops (the transport timer plane and
+    /// emulator delay line) drain everything due by `now` with this.
     ///
     /// A `None` may still have advanced the cursor to the (out-of-bound)
     /// earliest event's granule. That is safe for later `schedule` calls
@@ -464,9 +464,9 @@ mod tests {
 
     #[test]
     fn schedule_between_bound_and_refused_event_still_pops_in_order() {
-        // The sharded round shape: a bounded pop refuses a far-future
-        // event (cursor may now sit at its granule), then the merger
-        // schedules deliveries *earlier* than that event but after the
+        // A timer loop's shape: a bounded pop refuses a far-future
+        // event (cursor may now sit at its granule), then the loop
+        // schedules timers *earlier* than that event but after the
         // bound. They must pop before the refused event.
         let g = 1u64 << GRAN_BITS;
         let mut w = TimingWheel::new();

@@ -235,8 +235,9 @@ impl P2Quantile {
     /// * when both sides have converged, the interior marker heights are
     ///   combined as count-weighted averages, the extremes as min/max,
     ///   and the marker positions are reset to their desired values for
-    ///   the combined count. For same-distribution shards (the sharded
-    ///   simulator's case) the markers sit near the same quantiles, so
+    ///   the combined count. For same-distribution shards (the transport
+    ///   timer plane's per-shard lateness, say) the markers sit near the
+    ///   same quantiles, so
     ///   the weighted average is a consistent estimator of the same
     ///   quantile; it is *not* bit-equal to the sequential estimate.
     ///

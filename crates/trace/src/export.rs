@@ -44,10 +44,10 @@ pub const SCHEMA: &str = "verus-trace-v0";
 /// `(t_ns, lane)`. When nothing in the stream is tagged (every lane is
 /// [`crate::lane::NONE`]) the sort key is constant per timestamp and
 /// the stable sort is the identity — untagged traces keep their exact
-/// arrival-order bytes. Tagged traces get the canonical cross-engine
-/// order: the sequential engine dispatches flows' events interleaved
-/// while the sharded engine batches per worker, so only
-/// `(t_ns, lane, arrival)` is an order both produce identically.
+/// arrival-order bytes. Tagged traces get the canonical order: each
+/// flow's handle batches records before flushing, so arrival order
+/// interleaves flows by flush, not by time; `(t_ns, lane, arrival)`
+/// depends only on what each flow emitted and when.
 fn stream_order(times: &[u64], lanes: &[u32]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..times.len()).collect();
     if lanes.len() == times.len() && lanes.iter().any(|&l| l != crate::lane::NONE) {

@@ -1,16 +1,15 @@
 //! Per-thread record lanes: which *flow* the records a thread emits
 //! right now belong to.
 //!
-//! The sharded simulator dispatches different flows' events on
-//! different worker threads, and each worker's [`crate::TraceHandle`]
-//! batches records before flushing to the shared [`crate::Recorder`] —
-//! so the recorder's arrival order is not the dispatch order, not even
-//! within one engine. The lane is the fix: the event loop tags the
+//! Each flow's [`crate::TraceHandle`] batches records before flushing
+//! to the shared [`crate::Recorder`], so when several traced flows share
+//! one recorder, its arrival order interleaves them by flush, not by
+//! time. The lane is the fix: the simulator's event loop tags the
 //! current thread with the flow id whose event it is dispatching, the
 //! recorder stamps every record with the tag at arrival, and the JSONL
-//! exporter orders each record stream by `(t_ns, lane, arrival)` —
-//! a canonical order both the sequential and the sharded engine
-//! produce byte-identically.
+//! exporter orders each record stream by `(t_ns, lane, arrival)` — a
+//! canonical order that depends only on what each flow emitted and
+//! when, so it is the same under either event scheduler.
 //!
 //! The tag is a `thread_local` so instrumented code (`verus-core`'s
 //! controller) needs no API change and the hot path stays a single
@@ -30,7 +29,7 @@ thread_local! {
 }
 
 /// Tags this thread: records emitted until the next [`set`]/[`clear`]
-/// belong to `lane` (the simulator uses the global flow id).
+/// belong to `lane` (the simulator uses the flow id).
 pub fn set(lane: u32) {
     LANE.with(|l| l.set(lane));
 }

@@ -8,9 +8,8 @@
 //! and replaces the *execution model*:
 //!
 //! * **Sharding** — flow specs are partitioned `spec index % shards`,
-//!   the same round-robin rule as the netsim multi-core engine
-//!   (`netsim/src/shard.rs`), and each shard thread owns its flows
-//!   exclusively: no locks on any per-flow state, ever.
+//!   and each shard thread owns its flows exclusively: no locks on any
+//!   per-flow state, ever.
 //! * **One socket per shard** — all of a shard's flows multiplex one
 //!   UDP socket driven through [`IoBatcher`](crate::io_batch::IoBatcher)
 //!   (`sendmmsg`/`recvmmsg` on Linux, per-packet elsewhere), so the
@@ -43,7 +42,7 @@
 //! Trace attribution uses the `verus-trace` lane mechanism: the shard
 //! sets the flow's lane around every CC callback, so per-flow records
 //! from a multiplexed thread land in the right lane exactly as the
-//! sharded simulator's do.
+//! simulator's do.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
