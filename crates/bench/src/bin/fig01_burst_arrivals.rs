@@ -45,7 +45,7 @@ fn main() {
         ],
     );
     let mut rng = StdRng::seed_from_u64(101);
-    let results = run_cell(&cell, SimDuration::from_secs(90), &mut rng);
+    let results = run_cell(&cell, SimDuration::from_secs(90), &mut rng).expect("valid cell");
     let probe = &results[0];
 
     // The paper zooms into 85.05–85.30 s; use the same offsets.

@@ -69,7 +69,7 @@ fn main() {
             ],
         );
         let mut rng = StdRng::seed_from_u64(200 + i as u64);
-        let results = run_cell(&cell, duration, &mut rng);
+        let results = run_cell(&cell, duration, &mut rng).expect("valid cell");
         let arrivals: Vec<(SimTime, u32)> = results[0]
             .opportunities
             .iter()

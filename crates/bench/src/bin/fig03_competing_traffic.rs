@@ -51,7 +51,7 @@ fn main() {
             ],
         );
         let mut rng = StdRng::seed_from_u64(300 + i as u64);
-        let results = run_cell(&cell, SimDuration::from_secs(600), &mut rng);
+        let results = run_cell(&cell, SimDuration::from_secs(600), &mut rng).expect("valid cell");
         let user1 = &results[0];
 
         // Split user 1's delays by user 2's phase (ON first).

@@ -23,6 +23,7 @@
 //! ladder. The result is a [`RateProcess`] yielding whole-cell bytes per
 //! TTI, which the [`crate::scheduler`] divides among users.
 
+use crate::trace::TraceError;
 use rand::Rng;
 use verus_nettypes::SimDuration;
 use verus_stats::dist::Normal;
@@ -128,6 +129,9 @@ impl LinkBudget {
     /// Truncated Shannon, normalized to the peak rate at
     /// `snr_at_peak_db`, quantized to `cqi_steps` levels. SNR at or
     /// below ~-6 dB yields zero (out of coverage for data).
+    ///
+    /// This is the only definition of the rate map; [`RateTable`]
+    /// tabulates it for the per-TTI hot path.
     #[must_use]
     pub fn bytes_per_tti(&self, snr_db: f64) -> u32 {
         let eff = |db: f64| (1.0 + 10f64.powf(db / 10.0)).log2();
@@ -139,6 +143,129 @@ impl LinkBudget {
         let quantized = (ratio * steps).floor() / steps;
         let bits = self.peak_rate_bps * quantized * self.tti.as_secs_f64();
         (bits / 8.0).floor() as u32
+    }
+
+    /// Checks the budget describes a real MCS ladder: a positive TTI,
+    /// 1..=[`MAX_CQI_STEPS`] steps, and a finite positive peak rate and
+    /// saturation SNR.
+    pub(crate) fn validate(&self) -> Result<(), TraceError> {
+        let invalid = |field, requirement| Err(TraceError::InvalidCell { field, requirement });
+        if self.tti <= SimDuration::ZERO {
+            return invalid("budget.tti", "must be positive");
+        }
+        if !(1..=MAX_CQI_STEPS).contains(&self.cqi_steps) {
+            return invalid("budget.cqi_steps", "must be in 1..=MAX_CQI_STEPS");
+        }
+        if !(self.peak_rate_bps.is_finite() && self.peak_rate_bps > 0.0) {
+            return invalid("budget.peak_rate_bps", "must be finite and positive");
+        }
+        if !(self.snr_at_peak_db.is_finite() && self.snr_at_peak_db > 0.0) {
+            return invalid("budget.snr_at_peak_db", "must be finite and positive");
+        }
+        Ok(())
+    }
+}
+
+/// Most CQI steps a [`LinkBudget`] may have. Real MCS ladders have 15
+/// (LTE CQI) to 32 rungs; the cap bounds [`RateTable`]'s size and so the
+/// cost of one lookup.
+pub const MAX_CQI_STEPS: u32 = 64;
+
+/// [`LinkBudget::bytes_per_tti`] as a lookup table.
+///
+/// The rate map is a step function of SNR with at most `cqi_steps + 1`
+/// levels, but evaluating it costs a `powf` and two `log2` — the largest
+/// per-TTI cost of channel synthesis after the Gaussian draws. The table
+/// holds each level's bytes and the smallest SNR at which the level
+/// starts, found by bisection over the ordered f64 bit patterns with
+/// `bytes_per_tti` itself as the oracle. A lookup is then a branchless
+/// count of the thresholds at or below the SNR, and equals the formula on
+/// every input: a threshold is the exact first f64 of its level.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RateTable {
+    /// `thresholds[k]` is the smallest SNR at which `levels[k + 1]` applies.
+    thresholds: Vec<f64>,
+    /// `levels[0]` applies below every threshold, down to −∞.
+    levels: Vec<u32>,
+}
+
+impl RateTable {
+    /// Tabulates `budget`'s rate map, or returns
+    /// [`TraceError::InvalidCell`] for a budget that is not a real MCS
+    /// ladder: a zero TTI, `cqi_steps` outside 1..=[`MAX_CQI_STEPS`], or
+    /// a peak rate or saturation SNR that is not finite and positive.
+    pub fn new(budget: &LinkBudget) -> Result<Self, TraceError> {
+        budget.validate()?;
+        let rate_at = |key: u64| budget.bytes_per_tti(from_order_key(key));
+        let top = order_key(f64::INFINITY);
+        let mut lo = order_key(f64::NEG_INFINITY);
+        let mut level = rate_at(lo);
+        let mut table = Self {
+            thresholds: Vec::new(),
+            levels: vec![level],
+        };
+        while lo < top {
+            // Invariant: rate_at(lo) == level; find the first key above
+            // lo where the rate changes (if it does before +∞).
+            let mut hi = top;
+            if rate_at(hi) == level {
+                break;
+            }
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if rate_at(mid) == level {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo = hi;
+            level = rate_at(hi);
+            table.thresholds.push(from_order_key(hi));
+            table.levels.push(level);
+        }
+        // NaN compares below no threshold, so it reads the top level —
+        // which is what the formula gives it too (`f64::min` drops NaN,
+        // leaving the saturation SNR).
+        debug_assert_eq!(table.bytes(f64::NAN), budget.bytes_per_tti(f64::NAN));
+        Ok(table)
+    }
+
+    /// The cell's deliverable bytes in one TTI at `snr_db`; equal to
+    /// [`LinkBudget::bytes_per_tti`] for every `snr_db`.
+    #[must_use]
+    // `!(snr < t)` rather than `t <= snr`: NaN must pass every threshold.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub fn bytes(&self, snr_db: f64) -> u32 {
+        let level = self.thresholds.iter().filter(|&&t| !(snr_db < t)).count();
+        self.levels[level]
+    }
+
+    /// The SNRs at which the rate steps up, ascending: each is the
+    /// smallest f64 giving its level.
+    #[must_use]
+    pub fn thresholds(&self) -> &[f64] {
+        &self.thresholds
+    }
+}
+
+/// Maps an f64 to a u64 whose unsigned order is the f64 order
+/// (−∞ < … < −0.0 < +0.0 < … < +∞; NaNs lie outside that range).
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    if key >> 63 == 1 {
+        f64::from_bits(key & !(1 << 63))
+    } else {
+        f64::from_bits(!key)
     }
 }
 
@@ -153,6 +280,12 @@ pub struct RateProcess {
     drift_direction: f64,
     rho_fast: f64,
     shadow_step: f64,
+    /// `sqrt(1 − ρ²)·σ_fast`: scale of the AR(1) innovation.
+    fast_innovation: f64,
+    /// `σ_shadow·sqrt(2·step)`: the OU diffusion per TTI.
+    shadow_diffusion: f64,
+    /// `drift rate · TTI`: the mean drift step.
+    drift_step: f64,
 }
 
 impl RateProcess {
@@ -172,6 +305,9 @@ impl RateProcess {
             drift_direction: 1.0,
             rho_fast,
             shadow_step,
+            fast_innovation: (1.0 - rho_fast * rho_fast).sqrt() * config.fast_sigma_db,
+            shadow_diffusion: config.shadow_sigma_db * (2.0 * shadow_step).sqrt(),
+            drift_step: config.drift_rate_db_per_s * tti_s,
         }
     }
 
@@ -187,26 +323,21 @@ impl RateProcess {
         self.config.mean_snr_db + self.fast_db + self.shadow_db + self.drift_db
     }
 
-    /// Advances one TTI and returns the cell's deliverable bytes in it.
-    pub fn next_tti<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u32 {
+    /// Advances one TTI and returns the new instantaneous SNR in dB.
+    pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         // Fast fading: AR(1) with stationary sigma fast_sigma_db.
-        let innovation = (1.0 - self.rho_fast * self.rho_fast).sqrt()
-            * self.config.fast_sigma_db
-            * Normal::standard(rng);
+        let innovation = self.fast_innovation * Normal::standard(rng);
         self.fast_db = self.rho_fast * self.fast_db + innovation;
 
         // Shadowing: Euler–Maruyama OU step towards 0.
         if self.config.shadow_sigma_db > 0.0 {
-            let diffusion = self.config.shadow_sigma_db * (2.0 * self.shadow_step).sqrt();
-            self.shadow_db += -self.shadow_step * self.shadow_db
-                + diffusion * Normal::standard(rng);
+            self.shadow_db +=
+                -self.shadow_step * self.shadow_db + self.shadow_diffusion * Normal::standard(rng);
         }
 
         // Mobility drift: reflecting random-ish walk in [-range, +range].
         if self.config.drift_range_db > 0.0 && self.config.drift_rate_db_per_s > 0.0 {
-            let tti_s = self.budget.tti.as_secs_f64();
-            let step = self.config.drift_rate_db_per_s * tti_s
-                * (1.0 + 0.5 * Normal::standard(rng));
+            let step = self.drift_step * (1.0 + 0.5 * Normal::standard(rng));
             self.drift_db += self.drift_direction * step;
             if self.drift_db.abs() > self.config.drift_range_db {
                 self.drift_db = self
@@ -216,7 +347,15 @@ impl RateProcess {
             }
         }
 
-        self.budget.bytes_per_tti(self.snr_db())
+        self.snr_db()
+    }
+
+    /// Advances one TTI and returns the cell's deliverable bytes in it,
+    /// straight from [`LinkBudget::bytes_per_tti`] (the cell scheduler
+    /// reads the same map through a [`RateTable`]).
+    pub fn next_tti<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u32 {
+        let snr_db = self.advance(rng);
+        self.budget.bytes_per_tti(snr_db)
     }
 }
 

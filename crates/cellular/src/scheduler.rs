@@ -20,7 +20,7 @@
 //! can report per-packet queueing delays (what Figure 3 plots) as well as
 //! delivery traces (what the trace-driven evaluation replays).
 
-use crate::fading::{FadingConfig, LinkBudget, RateProcess};
+use crate::fading::{FadingConfig, LinkBudget, RateProcess, RateTable};
 use crate::trace::{Opportunity, Trace, TraceError};
 use rand::Rng;
 use std::collections::VecDeque;
@@ -113,13 +113,59 @@ impl UserResult {
     }
 }
 
+/// Most packets one user may be offered per TTI. Arrivals are queued one
+/// packet at a time, so a larger offer would stall the run; 65 536
+/// packets per 1 ms TTI is ~730 Gbit/s at the 1400-byte MTU.
+pub const MAX_PACKETS_PER_TTI: f64 = 65_536.0;
+
+impl CellConfig {
+    /// Checks the configuration can be simulated: at least one user, a PF
+    /// weight in (0, 1), a nonzero packet size, finite non-negative
+    /// offered rates of at most [`MAX_PACKETS_PER_TTI`] packets per TTI,
+    /// and a valid [`LinkBudget`].
+    pub(crate) fn validate(&self) -> Result<(), TraceError> {
+        let invalid = |field, requirement| Err(TraceError::InvalidCell { field, requirement });
+        self.budget.validate()?;
+        if self.users.is_empty() {
+            return invalid("users", "must not be empty");
+        }
+        if !(self.pf_alpha > 0.0 && self.pf_alpha < 1.0) {
+            return invalid("pf_alpha", "must be in (0, 1)");
+        }
+        if self.packet_bytes == 0 {
+            return invalid("packet_bytes", "must be positive");
+        }
+        let packets_per_bps = self.budget.tti.as_secs_f64() / 8.0 / f64::from(self.packet_bytes);
+        for u in &self.users {
+            let rate_bps = match u.demand {
+                Demand::Saturated => continue,
+                Demand::Cbr { rate_bps } | Demand::OnOff { rate_bps, .. } => rate_bps,
+            };
+            if !(rate_bps.is_finite() && rate_bps >= 0.0) {
+                return invalid("users[].demand.rate_bps", "must be finite and non-negative");
+            }
+            if rate_bps * packets_per_bps > MAX_PACKETS_PER_TTI {
+                return invalid(
+                    "users[].demand.rate_bps",
+                    "must offer at most MAX_PACKETS_PER_TTI packets per TTI",
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
 struct UserState {
     process: RateProcess,
     demand: Demand,
     /// PF throughput average (bytes/TTI).
     pf_avg: f64,
+    /// This TTI's deliverable bytes at the user's current SNR.
+    capacity: u32,
     /// Queued packets: (arrival time, remaining bytes).
     queue: VecDeque<(SimTime, u32)>,
+    /// Sum of the queue's remaining bytes.
+    backlog_bytes: u64,
     /// Fractional-byte accumulator for CBR arrivals.
     arrival_accum: f64,
     result: UserResult,
@@ -132,20 +178,22 @@ impl UserState {
 }
 
 /// Runs the cell for `duration`, returning one [`UserResult`] per user in
-/// input order.
+/// input order, or [`TraceError::InvalidCell`] if `config` cannot be
+/// simulated: no users, `pf_alpha` outside (0, 1), zero `packet_bytes`,
+/// an offered rate that is not finite and non-negative or exceeds
+/// [`MAX_PACKETS_PER_TTI`], or an invalid [`LinkBudget`] (see
+/// [`RateTable::new`]).
 pub fn run_cell<R: Rng + ?Sized>(
     config: &CellConfig,
     duration: SimDuration,
     rng: &mut R,
-) -> Vec<UserResult> {
-    assert!(!config.users.is_empty(), "cell needs at least one user");
-    assert!(
-        config.pf_alpha > 0.0 && config.pf_alpha < 1.0,
-        "PF alpha must be in (0,1)"
-    );
+) -> Result<Vec<UserResult>, TraceError> {
+    config.validate()?;
+    let rate_table = RateTable::new(&config.budget)?;
     let tti = config.budget.tti;
     let tti_s = tti.as_secs_f64();
-    let n_ttis = duration.as_nanos() / tti.as_nanos().max(1);
+    let n_ttis = duration.as_nanos() / tti.as_nanos();
+    let packet_bytes = f64::from(config.packet_bytes);
 
     let mut users: Vec<UserState> = config
         .users
@@ -154,7 +202,9 @@ pub fn run_cell<R: Rng + ?Sized>(
             process: RateProcess::new(u.fading, config.budget),
             demand: u.demand,
             pf_avg: 1.0,
+            capacity: 0,
             queue: VecDeque::new(),
+            backlog_bytes: 0,
             arrival_accum: 0.0,
             result: UserResult {
                 opportunities: Vec::new(),
@@ -185,28 +235,29 @@ pub fn run_cell<R: Rng + ?Sized>(
             };
             if rate > 0.0 {
                 u.arrival_accum += rate * tti_s / 8.0;
-                while u.arrival_accum >= f64::from(config.packet_bytes) {
-                    u.arrival_accum -= f64::from(config.packet_bytes);
-                    let backlog: u64 =
-                        u.queue.iter().map(|&(_, b)| u64::from(b)).sum();
-                    if backlog + u64::from(config.packet_bytes) > config.user_queue_bytes {
+                while u.arrival_accum >= packet_bytes {
+                    u.arrival_accum -= packet_bytes;
+                    if u.backlog_bytes + u64::from(config.packet_bytes) > config.user_queue_bytes {
                         u.result.dropped += 1;
                     } else {
                         u.queue.push_back((now, config.packet_bytes));
+                        u.backlog_bytes += u64::from(config.packet_bytes);
                     }
                 }
             }
         }
 
         // 2. Each user's radio advances every TTI regardless of service.
-        let rates: Vec<u32> = users.iter_mut().map(|u| u.process.next_tti(rng)).collect();
+        for u in &mut users {
+            u.capacity = rate_table.bytes(u.process.advance(rng));
+        }
 
         // 3. PF selection among backlogged users with a usable channel.
         let winner = users
             .iter()
             .enumerate()
-            .filter(|(i, u)| u.backlogged() && rates[*i] > 0)
-            .map(|(i, u)| (i, f64::from(rates[i]) / u.pf_avg.max(1e-9)))
+            .filter(|(_, u)| u.backlogged() && u.capacity > 0)
+            .map(|(i, u)| (i, f64::from(u.capacity) / u.pf_avg.max(1e-9)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(i, _)| i);
 
@@ -214,7 +265,7 @@ pub fn run_cell<R: Rng + ?Sized>(
         for (i, u) in users.iter_mut().enumerate() {
             let mut served: u32 = 0;
             if Some(i) == winner {
-                let capacity = rates[i];
+                let capacity = u.capacity;
                 match u.demand {
                     Demand::Saturated => served = capacity,
                     _ => {
@@ -227,9 +278,7 @@ pub fn run_cell<R: Rng + ?Sized>(
                             if remaining <= budget {
                                 budget -= remaining;
                                 u.queue.pop_front();
-                                u.result
-                                    .delays
-                                    .push((now, now.saturating_since(arrived)));
+                                u.result.delays.push((now, now.saturating_since(arrived)));
                             } else {
                                 // Partially served packet stays at head.
                                 u.queue[0] = (arrived, remaining - budget);
@@ -237,6 +286,7 @@ pub fn run_cell<R: Rng + ?Sized>(
                             }
                         }
                         served = capacity - budget;
+                        u.backlog_bytes -= u64::from(served);
                     }
                 }
                 if served > 0 {
@@ -251,7 +301,7 @@ pub fn run_cell<R: Rng + ?Sized>(
         }
     }
 
-    users.into_iter().map(|u| u.result).collect()
+    Ok(users.into_iter().map(|u| u.result).collect())
 }
 
 /// Convenience: the capacity trace seen by a saturated user competing
@@ -270,7 +320,7 @@ pub fn saturated_user_trace<R: Rng + ?Sized>(
     }];
     users.extend(background);
     let config = CellConfig::new(budget, users);
-    let mut results = run_cell(&config, duration, rng);
+    let mut results = run_cell(&config, duration, rng)?;
     results.remove(0).into_trace(name)
 }
 
@@ -294,7 +344,7 @@ mod tests {
             }],
         );
         let mut rng = StdRng::seed_from_u64(1);
-        let res = run_cell(&cfg, SimDuration::from_secs(5), &mut rng);
+        let res = run_cell(&cfg, SimDuration::from_secs(5), &mut rng).unwrap();
         let trace = res.into_iter().next().unwrap();
         // ~10 Mbit/s over 5 s ≈ 6.25 MB; accept the fading haircut.
         let mbps = trace.delivered_bytes as f64 * 8.0 / 5.0 / 1e6;
@@ -317,7 +367,7 @@ mod tests {
         // comparable to τ is a single quasi-static draw and any split is
         // possible. 60 s ≈ 5τ keeps the check meaningful and fast.
         let secs = 60.0;
-        let res = run_cell(&cfg, SimDuration::from_secs(secs as u64), &mut rng);
+        let res = run_cell(&cfg, SimDuration::from_secs(secs as u64), &mut rng).unwrap();
         let a = res[0].delivered_bytes as f64;
         let b = res[1].delivered_bytes as f64;
         assert!((a / b - 1.0).abs() < 0.15, "split {a} vs {b}");
@@ -335,7 +385,7 @@ mod tests {
             }],
         );
         let mut rng = StdRng::seed_from_u64(3);
-        let res = run_cell(&cfg, SimDuration::from_secs(10), &mut rng);
+        let res = run_cell(&cfg, SimDuration::from_secs(10), &mut rng).unwrap();
         let mbps = res[0].delivered_bytes as f64 * 8.0 / 10.0 / 1e6;
         assert!((mbps - 2.0).abs() < 0.1, "CBR delivered {mbps} Mbit/s");
         // Uncontended CBR well below capacity ⇒ small delays.
@@ -363,7 +413,7 @@ mod tests {
         let contended = CellConfig::new(budget(), vec![cbr, hog]);
         let mean_delay = |cfg: &CellConfig, seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
-            let res = run_cell(cfg, SimDuration::from_secs(20), &mut rng);
+            let res = run_cell(cfg, SimDuration::from_secs(20), &mut rng).unwrap();
             let d = &res[0].delays;
             d.iter().map(|(_, x)| x.as_millis_f64()).sum::<f64>() / d.len().max(1) as f64
         };
@@ -389,7 +439,7 @@ mod tests {
             }],
         );
         let mut rng = StdRng::seed_from_u64(5);
-        let res = run_cell(&cfg, SimDuration::from_secs(10), &mut rng);
+        let res = run_cell(&cfg, SimDuration::from_secs(10), &mut rng).unwrap();
         // ~half duty cycle → ~2 Mbit/s average.
         let mbps = res[0].delivered_bytes as f64 * 8.0 / 10.0 / 1e6;
         assert!((mbps - 2.0).abs() < 0.25, "OnOff delivered {mbps} Mbit/s");
@@ -434,6 +484,7 @@ mod tests {
         let run = || {
             let mut rng = StdRng::seed_from_u64(11);
             run_cell(&cfg, SimDuration::from_secs(2), &mut rng)
+                .unwrap()
                 .iter()
                 .map(|r| r.delivered_bytes)
                 .collect::<Vec<_>>()

@@ -82,6 +82,13 @@ pub enum TraceError {
     Empty,
     /// JSON (de)serialization failure.
     Json(serde_json::Error),
+    /// A cell or link-budget configuration the channel model cannot run.
+    InvalidCell {
+        /// The offending field, e.g. `"packet_bytes"`.
+        field: &'static str,
+        /// What the field must satisfy.
+        requirement: &'static str,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -96,6 +103,9 @@ impl std::fmt::Display for TraceError {
             }
             Self::Empty => write!(f, "trace contains no opportunities"),
             Self::Json(e) => write!(f, "trace JSON error: {e}"),
+            Self::InvalidCell { field, requirement } => {
+                write!(f, "invalid cell config: {field} {requirement}")
+            }
         }
     }
 }

@@ -3,12 +3,30 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
 use verus_cellular::burst::detect_bursts;
-use verus_cellular::fading::{FadingConfig, LinkBudget};
+use verus_cellular::fading::{FadingConfig, LinkBudget, RateTable};
 use verus_cellular::scheduler::{run_cell, CellConfig, Demand, UserConfig};
 use verus_cellular::trace::{Opportunity, Trace};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_nettypes::{SimDuration, SimTime};
+
+/// The f64 `k` representable steps above `x` (below, for negative `k`),
+/// stepping through ±0.0 as adjacent values.
+fn ulps_from(x: f64, k: i64) -> f64 {
+    let bits = x.to_bits();
+    let key = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    let key = key.wrapping_add_signed(k);
+    if key >> 63 == 1 {
+        f64::from_bits(key & !(1 << 63))
+    } else {
+        f64::from_bits(!key)
+    }
+}
 
 fn arbitrary_trace() -> impl Strategy<Value = Trace> {
     proptest::collection::vec((0u64..5_000, 1u32..60_000), 1..200).prop_map(|mut items| {
@@ -104,19 +122,37 @@ proptest! {
         }
     }
 
-    /// The link budget's rate map is monotone in SNR for any peak rate.
+    /// The link budget's rate map is monotone in SNR for any budget, and
+    /// its lookup table equals the formula everywhere: on a 0.001 dB
+    /// sweep, within ±256 ULPs of every threshold, and at ±∞ and NaN
+    /// (the formula gives NaN the peak level, through `f64::min`).
     #[test]
-    fn rate_map_monotone(peak_mbps in 1.0f64..100.0, lte in proptest::bool::ANY) {
-        let budget = if lte {
-            LinkBudget::lte(peak_mbps * 1e6)
-        } else {
-            LinkBudget::hspa(peak_mbps * 1e6)
-        };
+    fn rate_map_monotone(
+        peak_mbps in 0.1f64..200.0,
+        snr_at_peak_db in 1.0f64..40.0,
+        cqi_steps in 1u32..32,
+        lte in proptest::bool::ANY,
+    ) {
+        let tti = if lte { LinkBudget::lte(1.0).tti } else { LinkBudget::hspa(1.0).tti };
+        let budget = LinkBudget { peak_rate_bps: peak_mbps * 1e6, snr_at_peak_db, tti, cqi_steps };
+        let table = RateTable::new(&budget).unwrap();
         let mut prev = 0u32;
-        for snr10 in -100i32..=300 {
-            let r = budget.bytes_per_tti(f64::from(snr10) / 10.0);
-            prop_assert!(r >= prev);
+        for snr_milli_db in -40_000i32..=40_000 {
+            let snr = f64::from(snr_milli_db) / 1000.0;
+            let r = budget.bytes_per_tti(snr);
+            prop_assert!(r >= prev, "rate dropped at {snr} dB");
+            prop_assert_eq!(table.bytes(snr), r, "at {} dB", snr);
             prev = r;
+        }
+        prop_assert!(table.thresholds().len() <= cqi_steps as usize);
+        for &t in table.thresholds() {
+            for k in -256i64..=256 {
+                let snr = ulps_from(t, k);
+                prop_assert_eq!(table.bytes(snr), budget.bytes_per_tti(snr), "at {:e} dB", snr);
+            }
+        }
+        for snr in [f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -f64::NAN, -0.0, 0.0] {
+            prop_assert_eq!(table.bytes(snr), budget.bytes_per_tti(snr), "at {} dB", snr);
         }
     }
 
@@ -142,7 +178,7 @@ proptest! {
             ],
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let results = run_cell(&cell, SimDuration::from_secs(5), &mut rng);
+        let results = run_cell(&cell, SimDuration::from_secs(5), &mut rng).unwrap();
         for r in &results {
             let granted: u64 = r.opportunities.iter().map(|o| u64::from(o.bytes)).sum();
             prop_assert_eq!(granted, r.delivered_bytes);
@@ -167,4 +203,84 @@ fn scenario_matrix_is_total() {
             assert!(t.mean_rate_bps() > 1e5, "{} / {}", scenario.name(), op.name());
         }
     }
+}
+
+/// The scheduler keeps each user's queued bytes as a running total; a
+/// replay that re-sums the queue from scratch must agree with it. A CBR
+/// user offered 3× the cell's peak rate fills its buffer and drops the
+/// excess, never holds more than `user_queue_bytes`, and every packet
+/// offered is fully delivered, still queued at the end, or dropped.
+#[test]
+fn overloaded_cbr_backlog_is_bounded_and_conserved() {
+    let budget = LinkBudget::hspa(8e6);
+    let rate_bps = 3.0 * budget.peak_rate_bps;
+    let mut cell = CellConfig::new(
+        budget,
+        vec![UserConfig {
+            demand: Demand::Cbr { rate_bps },
+            fading: FadingConfig::stationary(),
+        }],
+    );
+    cell.user_queue_bytes = 50_000;
+    let duration = SimDuration::from_secs(10);
+    let mut rng = StdRng::seed_from_u64(21);
+    let result = run_cell(&cell, duration, &mut rng).unwrap().remove(0);
+    assert!(result.dropped > 0, "a 3x overload must drop");
+
+    // Replay the queue: arrivals follow the scheduler's CBR accumulator,
+    // service is the granted opportunities (the user is alone in the
+    // cell, so each TTI's grant is all its own).
+    let packet = cell.packet_bytes;
+    let tti = budget.tti;
+    let mut queue: VecDeque<u32> = VecDeque::new();
+    let (mut offered, mut dropped, mut completed) = (0u64, 0u64, 0u64);
+    let mut accum = 0.0f64;
+    let mut grants = result.opportunities.iter().peekable();
+    for i in 0..duration.as_nanos() / tti.as_nanos() {
+        let now = SimTime::from_nanos(i * tti.as_nanos());
+        accum += rate_bps * tti.as_secs_f64() / 8.0;
+        while accum >= f64::from(packet) {
+            accum -= f64::from(packet);
+            offered += 1;
+            let backlog: u64 = queue.iter().map(|&b| u64::from(b)).sum();
+            if backlog + u64::from(packet) > cell.user_queue_bytes {
+                dropped += 1;
+            } else {
+                queue.push_back(packet);
+            }
+        }
+        let backlog: u64 = queue.iter().map(|&b| u64::from(b)).sum();
+        assert!(
+            backlog <= cell.user_queue_bytes,
+            "{backlog} B queued at {now:?}"
+        );
+        if let Some(grant) = grants.next_if(|o| o.time == now) {
+            let mut left = grant.bytes;
+            while left > 0 {
+                let head = queue.front_mut().expect("granted more than the backlog");
+                if *head <= left {
+                    left -= *head;
+                    queue.pop_front();
+                    completed += 1;
+                } else {
+                    *head -= left;
+                    left = 0;
+                }
+            }
+        }
+    }
+    assert!(grants.next().is_none(), "grant outside the TTI grid");
+    assert_eq!(dropped, result.dropped);
+    assert_eq!(completed, result.delays.len() as u64);
+    let queued = queue.len() as u64;
+    assert!(
+        queued > 0,
+        "an overloaded queue is still backlogged at the end"
+    );
+    assert_eq!(offered, completed + queued + dropped);
+    let expected = rate_bps / 8.0 * duration.as_secs_f64() / f64::from(packet);
+    assert!(
+        (offered as f64 - expected).abs() <= 1.0,
+        "offered {offered} of {expected}"
+    );
 }

@@ -44,7 +44,7 @@ fn main() {
     );
 
     let mut rng = StdRng::seed_from_u64(2024);
-    let mut results = run_cell(&cell, SimDuration::from_secs(60), &mut rng);
+    let mut results = run_cell(&cell, SimDuration::from_secs(60), &mut rng).expect("valid cell");
     let ours = results.remove(0);
     println!(
         "our user: {:.2} Mbit/s over 60 s ({} delivery opportunities)",

@@ -180,6 +180,18 @@ jq -e '.schema == "verus-trace-report-v0"' "$trace_out/smoke_summary.json" > /de
   || { echo "trace_report summary malformed"; exit 1; }
 rm -rf "$trace_out"
 
+# Benchmark self-check: perfbench (the repository's benchmark, see
+# BENCHMARK.json) runs each workload for one second and ends its output
+# with one JSON line. Its own correctness checks — every flow's ledger
+# balances, report digests agree across passes, the UDP packet ledger
+# closes — must all hold, and no operation may fail.
+for workload in verus_single cubic_crowd udp_crowd; do
+  perf_line="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  jq -e '.correct and .failed == 0' <<< "$perf_line" > /dev/null \
+    || { echo "perfbench $workload failed its correctness checks: $perf_line"; exit 1; }
+done
+
 # Interleaving models: verus-model (the in-tree loom-style checker)
 # exhaustively explores the transport stop/counter handshakes and the
 # bench work-claiming protocol. No gate needed — the checker is vendored
