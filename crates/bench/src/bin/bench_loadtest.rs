@@ -5,7 +5,8 @@
 //!
 //! 1. **baseline**: the portable per-packet backend (`send_to`/`recv_from`,
 //!    one syscall per datagram) — the pre-batching transport's cost model;
-//! 2. **batched**: the `sendmmsg`/`recvmmsg` backend behind the same
+//! 2. **batched**: the `sendmmsg`/`recvmmsg` backend, with UDP
+//!    segmentation offload (GSO send, GRO receive), behind the same
 //!    [`IoBatcher`] contract.
 //!
 //! Both legs must finish with an **exact packet ledger**: every offered
@@ -161,8 +162,11 @@ fn main() {
     let base = run_leg(IoMode::PerPacket, shape, shards);
     let spp_base = base.report.io().syscalls_per_packet();
     println!(
-        "  baseline ({}): {:.4} syscalls/packet, wall {:.2} s",
-        base.backend, spp_base, base.wall_secs
+        "  baseline ({}): {:.4} syscalls/packet, {:.1} datagrams/message, wall {:.2} s",
+        base.backend,
+        spp_base,
+        base.report.io().datagrams_per_message(),
+        base.wall_secs
     );
 
     let batched = run_leg(IoMode::Batched, shape, shards);
@@ -170,9 +174,14 @@ fn main() {
     let ratio = if spp_batched > 0.0 { spp_base / spp_batched } else { 0.0 };
     let jitter_p99 = batched.report.jitter_p99_ms();
     println!(
-        "  batched ({}): {:.4} syscalls/packet, wall {:.2} s -> ratio {:.1}x, \
-         epoch-timer p99 lateness {:.2} ms",
-        batched.backend, spp_batched, batched.wall_secs, ratio, jitter_p99
+        "  batched ({}): {:.4} syscalls/packet, {:.1} datagrams/message, wall {:.2} s \
+         -> ratio {:.1}x, epoch-timer p99 lateness {:.2} ms",
+        batched.backend,
+        spp_batched,
+        batched.report.io().datagrams_per_message(),
+        batched.wall_secs,
+        ratio,
+        jitter_p99
     );
 
     // Both legs completed the identical crowd: the deterministic ledger

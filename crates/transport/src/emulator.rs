@@ -277,8 +277,8 @@ fn run_loop(
             return;
         }
 
-        // 3. Ingest data packets from the sender (one batched call, up
-        // to `io_batch::BATCH` datagrams).
+        // 3. Ingest data packets from the sender (one batched call: one
+        // batch of messages, each one datagram or a coalesced run).
         let ingested = ingress.recv_batch(&mut |pkt, src| {
             sender_addr = Some(src);
             shared.received.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stat counter; nothing else depends on it
@@ -306,7 +306,7 @@ fn run_loop(
                 queue.push_back(pkt.to_vec());
             }
         });
-        let Ok(ingested) = ingested else { return };
+        let Ok(ingested) = ingested.map(|r| r.datagrams) else { return };
 
         // 4. Ingest ACKs from the receiver onto the delay line.
         let acks = egress.recv_batch(&mut |pkt, _src| {
@@ -320,7 +320,7 @@ fn run_loop(
                 },
             );
         });
-        let Ok(acks) = acks else { return };
+        let Ok(acks) = acks.map(|r| r.datagrams) else { return };
         if ingested > 0 || acks > 0 {
             last_heard = Instant::now();
         }

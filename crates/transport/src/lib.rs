@@ -39,8 +39,9 @@
 //! The scale-out plane (DESIGN.md §15) replaces thread-pairs-per-socket
 //! with thread-per-core sharding for crowds of flows:
 //!
-//! * [`io_batch`] — `sendmmsg`/`recvmmsg` syscall batching behind the
-//!   [`IoBatcher`] trait, with a portable per-packet fallback;
+//! * [`io_batch`] — `sendmmsg`/`recvmmsg` syscall batching with UDP
+//!   segmentation offload (GSO/GRO) behind the [`IoBatcher`] trait,
+//!   with a portable per-packet fallback;
 //! * [`timer_plane`] — per-shard RTO/epoch timers on the netsim
 //!   hierarchical timing wheel (no per-flow sleep loops);
 //! * [`shard_server`] — the thread-per-core server itself: each shard
@@ -66,7 +67,7 @@ pub mod timer_plane;
 
 pub use clock::WallClock;
 pub use emulator::{Emulator, EmulatorConfig, EmulatorHandle};
-pub use io_batch::{batcher_for, IoBatcher, IoCounters, IoMode, OutPacket};
+pub use io_batch::{batcher_for, IoBatcher, IoCounters, IoMode, OutPacket, Received};
 pub use receiver::{Receiver, ReceiverHandle};
 pub use sender::{SenderConfig, UdpSender};
 pub use session::{BackoffSchedule, Session, SessionConfig, Transition};

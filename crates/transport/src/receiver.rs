@@ -7,7 +7,7 @@
 //! receiver needs no per-flow state at all.
 
 use crate::clock::WallClock;
-use crate::io_batch::{batcher_for, IoMode, OutPacket, BATCH};
+use crate::io_batch::{batcher_for, IoMode, OutPacket};
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,8 +119,8 @@ impl Receiver {
                             });
                         });
                         let Ok(got) = got else { return };
-                        drained += got;
-                        if got < BATCH {
+                        drained += got.datagrams;
+                        if !got.full {
                             break;
                         }
                     }

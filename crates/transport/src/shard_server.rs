@@ -1095,7 +1095,7 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
         let mut backlog = false;
         loop {
             let got = io.recv_batch(&mut |buf, _from| shard.handle_ack(buf, recv_now))?;
-            if got < BATCH {
+            if !got.full {
                 break;
             }
             // The kernel queue was deeper than one batch: keep draining
@@ -1371,6 +1371,8 @@ mod tests {
                 recv_calls: 6,
                 sent_pkts: 100,
                 recvd_pkts: 100,
+                sent_msgs: 100,
+                recvd_msgs: 100,
                 send_failed: 0,
             },
             timer_fires: 50,

@@ -192,6 +192,19 @@ for workload in verus_single cubic_crowd udp_crowd; do
     || { echo "perfbench $workload failed its correctness checks: $perf_line"; exit 1; }
 done
 
+# Coalescing guard: one sendmmsg moves at most 64 messages and one
+# recvmmsg at most 16, so udp_crowd can exceed 64 datagrams per syscall
+# only while UDP segmentation offload (GSO send, GRO receive) coalesces
+# same-destination runs. A reading at or below 64 on the mmsg backend
+# means the plain-datagram fallback has latched on silently.
+perf_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+  --workload udp_crowd --seed 1 --seconds 1 --trace 1)"
+if head -n 1 <<< "$perf_out" | jq -e '.host.io_backend == "mmsg"' > /dev/null; then
+  tail -n 1 <<< "$perf_out" | jq -e '.correct and .failed == 0
+    and .metrics["transport.io.pkts_per_syscall"].value > 64' > /dev/null \
+    || { echo "udp_crowd is not coalescing datagrams (GSO/GRO):"; tail -n 1 <<< "$perf_out"; exit 1; }
+fi
+
 # Interleaving models: verus-model (the in-tree loom-style checker)
 # exhaustively explores the transport stop/counter handshakes and the
 # bench work-claiming protocol. No gate needed — the checker is vendored
