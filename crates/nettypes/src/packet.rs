@@ -20,7 +20,10 @@
 //! ```
 //!
 //! The sending window is fixed-point (×1000) rather than `f64` on the wire
-//! so the format has no NaN states.
+//! so the format has no NaN states. Timestamps must fit a
+//! [`SimTime`](crate::SimTime) (nanoseconds in a `u64`): decoding rejects any above
+//! [`MAX_WIRE_TIME_US`], so no consumer's microsecond → nanosecond
+//! conversion can overflow on a hostile packet.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -37,6 +40,10 @@ const WINDOW_SCALE: f64 = 1000.0;
 pub const DATA_HEADER_LEN: usize = 2 + 4 + 8 + 8 + 8 + 4;
 /// Size of an encoded ACK.
 pub const ACK_LEN: usize = 2 + 4 + 8 + 8 + 8 + 8;
+
+/// Largest wire timestamp (µs) that still converts to a
+/// [`SimTime`](crate::SimTime).
+pub const MAX_WIRE_TIME_US: u64 = u64::MAX / 1_000;
 
 /// A data packet as carried by the transport.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,6 +96,11 @@ pub enum WireDecodeError {
         /// The magic value found.
         found: u16,
     },
+    /// A timestamp above [`MAX_WIRE_TIME_US`].
+    TimestampOutOfRange {
+        /// The timestamp found, µs.
+        us: u64,
+    },
 }
 
 impl std::fmt::Display for WireDecodeError {
@@ -98,6 +110,9 @@ impl std::fmt::Display for WireDecodeError {
                 write!(f, "truncated packet: need {need} bytes, got {got}")
             }
             Self::BadMagic { found } => write!(f, "unknown packet magic {found:#06x}"),
+            Self::TimestampOutOfRange { us } => {
+                write!(f, "timestamp {us} us does not fit a SimTime")
+            }
         }
     }
 }
@@ -142,7 +157,7 @@ impl DataPacket {
         Ok(Self {
             flow: buf.get_u32(),
             seq: buf.get_u64(),
-            send_time_us: buf.get_u64(),
+            send_time_us: wire_time(buf.get_u64())?,
             send_window: decode_window(buf.get_u64()),
             payload_len: buf.get_u32(),
         })
@@ -190,11 +205,20 @@ impl AckPacket {
         Ok(Self {
             flow: buf.get_u32(),
             seq: buf.get_u64(),
-            echo_send_time_us: buf.get_u64(),
-            recv_time_us: buf.get_u64(),
+            echo_send_time_us: wire_time(buf.get_u64())?,
+            recv_time_us: wire_time(buf.get_u64())?,
             send_window: decode_window(buf.get_u64()),
         })
     }
+}
+
+/// Accepts a wire timestamp only if it converts to a
+/// [`SimTime`](crate::SimTime).
+fn wire_time(us: u64) -> Result<u64, WireDecodeError> {
+    if us > MAX_WIRE_TIME_US {
+        return Err(WireDecodeError::TimestampOutOfRange { us });
+    }
+    Ok(us)
 }
 
 fn encode_window(w: f64) -> u64 {
@@ -299,6 +323,53 @@ mod tests {
         };
         let q = DataPacket::decode(&p.encode()).unwrap();
         assert_eq!(q.send_window, 0.0);
+    }
+
+    #[test]
+    fn timestamps_beyond_simtime_are_rejected() {
+        // A well-formed ACK whose echo is one past the last convertible
+        // microsecond used to decode and then overflow the sender's
+        // `SimTime::from_micros` (a debug panic, a wrapped RTT sample in
+        // release).
+        let edge = MAX_WIRE_TIME_US;
+        let ok = AckPacket {
+            flow: 1,
+            seq: 2,
+            echo_send_time_us: edge,
+            recv_time_us: edge,
+            send_window: 1.0,
+        };
+        assert_eq!(AckPacket::decode(&ok.encode()), Ok(ok.clone()));
+        for (echo, recv) in [(edge + 1, 0), (0, edge + 1), (u64::MAX, u64::MAX)] {
+            let bad = AckPacket {
+                echo_send_time_us: echo,
+                recv_time_us: recv,
+                ..ok.clone()
+            };
+            assert!(
+                matches!(
+                    AckPacket::decode(&bad.encode()),
+                    Err(WireDecodeError::TimestampOutOfRange { .. })
+                ),
+                "echo {echo} / recv {recv} decoded"
+            );
+        }
+        let data = DataPacket {
+            send_time_us: edge + 1,
+            ..sample_data()
+        };
+        assert_eq!(
+            DataPacket::decode(&data.encode()),
+            Err(WireDecodeError::TimestampOutOfRange { us: edge + 1 })
+        );
+        let data = DataPacket {
+            send_time_us: edge,
+            ..sample_data()
+        };
+        assert_eq!(DataPacket::decode(&data.encode()), Ok(data));
+        assert!(WireDecodeError::TimestampOutOfRange { us: 7 }
+            .to_string()
+            .contains("7 us"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `verus-send` — the sender application (paper §5's sender).
 //!
 //! Runs a congestion controller (Verus by default, or any baseline) over
-//! UDP towards a `verus-recv` instance, then prints transfer statistics.
+//! UDP towards a `verus-recv` instance under the session supervisor,
+//! then prints transfer statistics once the session has drained.
 //!
 //! ```bash
 //! verus-send <dest-addr> [options]
@@ -9,7 +10,6 @@
 //!   --r <float>          Verus R parameter        (default 2)
 //!   --secs <u64>         transfer duration        (default 30)
 //!   --bytes <u32>        payload per packet       (default 1400)
-//!   --json               machine-readable output
 //! ```
 
 use std::net::SocketAddr;
@@ -17,7 +17,7 @@ use std::time::Duration;
 use verus_baselines::{Cubic, NewReno, Sprout, Vegas};
 use verus_core::{VerusCc, VerusConfig};
 use verus_nettypes::CongestionControl;
-use verus_transport::{SenderConfig, UdpSender, WallClock};
+use verus_transport::{SenderConfig, SupervisedSender, SupervisorConfig, WallClock};
 
 struct Args {
     dest: SocketAddr,
@@ -25,14 +25,13 @@ struct Args {
     r: f64,
     secs: u64,
     bytes: u32,
-    json: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     let dest = argv
         .next()
-        .ok_or("usage: verus-send <dest-addr> [--proto P] [--r R] [--secs N] [--bytes B] [--json]")?;
+        .ok_or("usage: verus-send <dest-addr> [--proto P] [--r R] [--secs N] [--bytes B]")?;
     let dest: SocketAddr = dest
         .parse()
         .map_err(|e| format!("invalid destination {dest:?}: {e}"))?;
@@ -42,32 +41,16 @@ fn parse_args() -> Result<Args, String> {
         r: 2.0,
         secs: 30,
         bytes: 1400,
-        json: false,
     };
     while let Some(flag) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
+        let value = argv.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        let invalid = |e: &dyn std::fmt::Display| format!("{flag}: {e}");
         match flag.as_str() {
-            "--proto" => args.proto = value("--proto")?,
-            "--r" => {
-                args.r = value("--r")?
-                    .parse()
-                    .map_err(|e| format!("--r: {e}"))?;
-            }
-            "--secs" => {
-                args.secs = value("--secs")?
-                    .parse()
-                    .map_err(|e| format!("--secs: {e}"))?;
-            }
-            "--bytes" => {
-                args.bytes = value("--bytes")?
-                    .parse()
-                    .map_err(|e| format!("--bytes: {e}"))?;
-            }
-            "--json" => args.json = true,
-            other => return Err(format!("unknown flag {other:?}")),
+            "--proto" => args.proto = value,
+            "--r" => args.r = value.parse().map_err(|e| invalid(&e))?,
+            "--secs" => args.secs = value.parse().map_err(|e| invalid(&e))?,
+            "--bytes" => args.bytes = value.parse().map_err(|e| invalid(&e))?,
+            _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
     Ok(args)
@@ -85,20 +68,11 @@ fn controller(proto: &str, r: f64) -> Result<Box<dyn CongestionControl>, String>
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let cc = match controller(&args.proto, args.r) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let parsed = parse_args().and_then(|args| Ok((controller(&args.proto, args.r)?, args)));
+    let (cc, args) = parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     // The gap timer: Verus' §5.2 3×delay; RACK-ish 2× for the baselines.
     let gap_factor = if args.proto == "verus" { 3.0 } else { 2.0 };
     let config = SenderConfig {
@@ -111,33 +85,27 @@ fn main() {
         "verus-send: {} → {} for {} s ({} B packets)",
         args.proto, args.dest, args.secs, args.bytes
     );
-    let stats = match UdpSender::new(config, WallClock::new()).run(cc) {
-        Ok(s) => s,
+    let mut sender = SupervisedSender::new(SupervisorConfig::new(config), WallClock::new());
+    let stats = match sender.run(cc) {
+        Ok(report) => report.stats,
         Err(e) => {
             eprintln!("transfer failed: {e}");
             std::process::exit(1);
         }
     };
-    if args.json {
-        match serde_json::to_string_pretty(&stats) {
-            Ok(s) => println!("{s}"),
-            Err(e) => eprintln!("serialize: {e}"),
-        }
-    } else {
-        println!(
-            "throughput : {:.3} Mbit/s ({} acked / {} sent)",
-            stats.mean_throughput_mbps(),
-            stats.acked,
-            stats.sent
-        );
-        println!(
-            "delay      : mean {:.1} ms, p95 {:.1} ms",
-            stats.mean_delay_ms(),
-            stats.delay_summary().map_or(0.0, |s| s.p95)
-        );
-        println!(
-            "losses     : {} fast, {} timeouts",
-            stats.fast_losses, stats.timeouts
-        );
-    }
+    println!(
+        "throughput : {:.3} Mbit/s ({} acked / {} sent)",
+        stats.mean_throughput_mbps(),
+        stats.acked,
+        stats.sent
+    );
+    println!(
+        "delay      : mean {:.1} ms, p95 {:.1} ms",
+        stats.mean_delay_ms(),
+        stats.delay_summary().map_or(0.0, |s| s.p95)
+    );
+    println!(
+        "losses     : {} fast, {} timeouts",
+        stats.fast_losses, stats.timeouts
+    );
 }

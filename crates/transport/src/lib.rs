@@ -5,11 +5,15 @@
 //! `tc`-controlled dumbbell. Commercial cellular networks are not
 //! available to this reproduction, so the live setup is replaced by:
 //!
-//! * [`sender`] — a wall-clock driven UDP sender that runs any
-//!   [`CongestionControl`](verus_nettypes::CongestionControl)
-//!   implementation (Verus with its 5 ms epochs, or the baselines) with
-//!   the same loss-detection machinery as the simulator: the §5.2
-//!   3×delay reordering timer and an RFC 6298 RTO;
+//! * `flow` — the per-flow sender machine (`FlowEngine`), sans I/O: one
+//!   [`CongestionControl`](verus_nettypes::CongestionControl) (Verus
+//!   with its 5 ms epochs, or a baseline) with the same loss detection
+//!   as the simulator — the §5.2 3×delay reordering timer and an
+//!   RFC 6298 RTO — plus the session machine and the shed cap. Every
+//!   method takes `now`; its two drivers, [`supervisor`] and
+//!   [`shard_server`], own the sockets and clocks;
+//! * [`supervisor`] — the wall-clock sender: one socket and one loop
+//!   around one engine (the paper's prototype sender);
 //! * [`receiver`] — the UDP sink: timestamps every data packet and
 //!   returns an ACK echoing the packet's send time and sending window
 //!   (one thread, like the prototype's receiver app);
@@ -25,16 +29,15 @@
 //! architecture as the paper's librt-based prototype; an async runtime
 //! would add machinery without adding fidelity for a handful of sockets.
 //!
-//! On top of the plain sender, the resilience layer (DESIGN.md §12)
-//! supervises a connection lifecycle:
+//! The resilience layer (DESIGN.md §12) is the session machine the
+//! engine carries:
 //!
 //! * [`session`] — the pure state machine (`Connecting → Established →
 //!   Degraded → Reconnecting → Draining → Closed`) with capped,
-//!   deterministically jittered reconnect backoff;
-//! * [`supervisor`] — drives the sender loop through that machine:
-//!   probes on the backoff schedule while disconnected, warm-restarts
-//!   the congestion controller on resumption, and sheds overload into
-//!   the `shed_dropped` ledger column.
+//!   deterministically jittered reconnect backoff; the supervisor probes
+//!   on its backoff schedule while disconnected, warm-restarts the
+//!   controller on resumption, and sheds overload into the
+//!   `shed_dropped` ledger column.
 //!
 //! The scale-out plane (DESIGN.md §15) replaces thread-pairs-per-socket
 //! with thread-per-core sharding for crowds of flows:
@@ -45,9 +48,9 @@
 //! * [`timer_plane`] — per-shard RTO/epoch timers on the netsim
 //!   hierarchical timing wheel (no per-flow sleep loops);
 //! * [`shard_server`] — the thread-per-core server itself: each shard
-//!   exclusively owns `flow % shards == shard` flows, drives their
-//!   sessions/CC through one batched socket, and publishes lock-free
-//!   cache-padded stats snapshots.
+//!   exclusively owns `flow % shards == shard` flows, drives one flow
+//!   engine per flow through one batched socket, and publishes
+//!   lock-free cache-padded stats snapshots.
 
 // `deny` rather than `forbid`: the one `#[allow(unsafe_code)]` in the
 // tree is io_batch's cfg-gated mmsg FFI module (see its safety notes).
@@ -56,9 +59,9 @@
 
 pub mod clock;
 pub mod emulator;
+mod flow;
 pub mod io_batch;
 pub mod receiver;
-pub mod sender;
 pub mod session;
 pub mod shard_server;
 pub mod stats;
@@ -69,7 +72,6 @@ pub use clock::WallClock;
 pub use emulator::{Emulator, EmulatorConfig, EmulatorHandle};
 pub use io_batch::{batcher_for, IoBatcher, IoCounters, IoMode, OutPacket, Received};
 pub use receiver::{Receiver, ReceiverHandle};
-pub use sender::{SenderConfig, UdpSender};
 pub use session::{BackoffSchedule, Session, SessionConfig, Transition};
 pub use shard_server::{
     FlowSpec, LoadReport, ShardServer, ShardServerConfig, ShardSnapshot,
@@ -79,4 +81,4 @@ pub use timer_plane::{TimerKind, TimerPlane};
 // re-exported here because `Transition` is spelled in terms of it.
 pub use verus_trace::SessionState;
 pub use stats::TransferStats;
-pub use supervisor::{SessionReport, SupervisedSender, SupervisorConfig};
+pub use supervisor::{SenderConfig, SessionReport, SupervisedSender, SupervisorConfig};

@@ -2,10 +2,10 @@
 //!
 //! The per-socket transport ([`supervisor`](crate::supervisor)) spends
 //! two threads and two blocking sockets per flow — faithful to the
-//! paper's prototype, hopeless for load testing it. This module keeps
-//! the *protocol machinery* of the supervisor (session lifecycle,
-//! RTO + reordering-gap loss detection, CC warm restart on resumption)
-//! and replaces the *execution model*:
+//! paper's prototype, hopeless for load testing it. This module runs the
+//! same per-flow machine — one [`FlowEngine`] per flow: session lifecycle,
+//! RTO + reordering-gap loss detection, CC warm restart on resumption —
+//! under a different execution model:
 //!
 //! * **Sharding** — flow specs are partitioned `spec index % shards`,
 //!   and each shard thread owns its flows exclusively: no locks on any
@@ -28,23 +28,24 @@
 //!
 //! ## Protocol fidelity and the deterministic ledger
 //!
-//! Loss detection matches the supervisor: ACKs above an outstanding
-//! packet arm the §5.2 reordering gap timer (`gap_factor × srtt`);
-//! gap expiry raises `FastRetransmit`, RTO expiry clears the in-flight
-//! table and raises `Timeout` with exponential RTO backoff. One
-//! deliberate divergence: reconnect **probes retransmit the lowest
-//! unfinished sequence** instead of consuming a fresh one. That keeps
-//! the sequence space exactly `0..packets` per flow, which is what
-//! makes the load-test ledger exact: `offered = Σ packets`, and after
-//! retransmitting to quiescence `offered − acked − shed == 0` with no
-//! slack term for probe traffic.
+//! The protocol is the engine's, so it matches the supervisor by
+//! construction. What the shard adds is its sequence policy: reconnect
+//! **probes retransmit the lowest unfinished sequence** instead of
+//! consuming a fresh one, and an epoch fire retransmits sent-but-unfinished
+//! sequences that have left the in-flight table (RTO-cleared or
+//! gap-expired). That keeps the sequence space exactly `0..packets` per
+//! flow, which is what makes the load-test ledger exact:
+//! `offered = Σ packets`, and after retransmitting to quiescence
+//! `offered − acked − shed == 0` with no slack term for probe traffic.
+//! The gap sweep runs on each flow's epoch fire.
 //!
 //! Trace attribution uses the `verus-trace` lane mechanism: the shard
-//! sets the flow's lane around every CC callback, so per-flow records
-//! from a multiplexed thread land in the right lane exactly as the
-//! simulator's do.
+//! sets the flow's lane around every engine call that can reach the
+//! controller, so per-flow records from a multiplexed thread land in the
+//! right lane exactly as the simulator's do.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -54,19 +55,15 @@ use std::thread;
 use std::time::Duration;
 
 use verus_netsim::impairment::SplitMix64;
-use verus_netsim::OutstandingTable;
-use verus_nettypes::{
-    AckEvent, AckPacket, CongestionControl, DataPacket, LossEvent, LossKind, RttEstimator,
-    SimDuration, SimTime,
-};
+use verus_nettypes::{AckPacket, CongestionControl, SimDuration, SimTime};
 use verus_stats::StreamingStats;
 use verus_trace::lane;
 
 use crate::clock::WallClock;
+use crate::flow::{FlowEngine, FlowParams, Pumped};
 use crate::io_batch::{batcher_for, IoCounters, IoMode, OutPacket, BATCH};
-use crate::session::{Session, SessionConfig, Transition};
+use crate::session::{Session, SessionConfig};
 use crate::timer_plane::{merged_jitter_p99_ms, TimerKind, TimerPlane};
-use crate::SessionState;
 
 /// Retransmissions injected per flow per epoch fire; bounds the work a
 /// single (possibly very backlogged) flow can do in one sweep.
@@ -190,7 +187,12 @@ pub struct ShardCounters {
 
 /// Relaxed bump of a live counter (see [`ShardCounters`] protocol).
 fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed); // ordering: monotone tally; cross-counter consistency comes from the publish Release/Acquire pair
+    bump_by(counter, 1);
+}
+
+/// Relaxed add of `n` to a live counter (see [`ShardCounters`] protocol).
+fn bump_by(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed); // ordering: monotone tally; cross-counter consistency comes from the publish Release/Acquire pair
 }
 
 /// Relaxed read of a live counter (see [`ShardCounters`] protocol).
@@ -473,38 +475,20 @@ impl LoadReport {
 // Per-flow state (shard-private)
 // ---------------------------------------------------------------------
 
-/// An in-flight packet's bookkeeping.
-struct Pending {
-    /// Window echoed into loss events.
-    send_window: f64,
-    /// §5.2 reordering gap deadline, armed when an ACK overtakes this
-    /// packet; swept on epoch fires.
-    gap_deadline: Option<SimTime>,
-}
-
+/// One flow's driver state around its engine: the exact ledger over the
+/// sequence space `0..target` and the wheel bookkeeping.
 struct FlowState {
-    wire_flow: u32,
+    engine: FlowEngine,
     dest: SocketAddr,
     target: u64,
-    cc: Box<dyn CongestionControl>,
-    session: Session,
-    rtt: RttEstimator,
-    /// This flow's epoch period (`cc.tick_interval()` or the config's).
-    epoch: SimDuration,
-    has_tick: bool,
-    outstanding: OutstandingTable<Pending>,
     /// Bitmaps over `0..target`: ever-sent and finished (acked or shed).
     sent_bits: Vec<u64>,
     done_bits: Vec<u64>,
     next_fresh: u64,
     done_count: u64,
-    /// Current RTO deadline; restamped on sends/ACKs, `None` when the
-    /// in-flight table is empty.
-    rto_deadline: Option<SimTime>,
     /// Whether a wheel timer is pending for this flow's RTO. At most
     /// one lives on the wheel at a time; stale fires re-arm.
     rto_armed: bool,
-    rto_retries: u32,
     closed_noted: bool,
 }
 
@@ -550,21 +534,12 @@ fn quantize_up(t: SimTime) -> SimTime {
     SimTime::from_nanos(n.div_euclid(g).saturating_mul(g).saturating_add(if n % g == 0 { 0 } else { g }))
 }
 
-/// CC warm-restart hook: fires only on a genuine resumption.
-fn note_transition(cc: &mut dyn CongestionControl, tr: &Transition) {
-    if tr.from == SessionState::Reconnecting && tr.to == SessionState::Established {
-        cc.on_session_resumed(tr.at);
-    }
-}
-
 // ---------------------------------------------------------------------
 // The shard itself
 // ---------------------------------------------------------------------
 
 struct Shard<'a> {
-    cfg: &'a ShardServerConfig,
     c: &'a ShardCounters,
-    clock: WallClock,
     flows: Vec<FlowState>,
     route: HashMap<u32, usize>,
     plane: TimerPlane,
@@ -573,125 +548,89 @@ struct Shard<'a> {
 }
 
 impl Shard<'_> {
-    /// Queues one data packet for `seq` (fresh, retransmit, or probe —
-    /// callers attribute it) and stamps the RTO if none is pending.
+    /// Queues one data packet for `seq` (a retransmit or a probe —
+    /// callers attribute it) and arms the RTO.
     fn send_data(&mut self, j: usize, seq: u64, now: SimTime) {
-        {
-            let f = &mut self.flows[j];
-            let window = f.cc.window().max(1.0);
-            let pkt = DataPacket {
-                flow: f.wire_flow,
-                seq,
-                send_time_us: self.clock.now_micros(),
-                send_window: window,
-                payload_len: self.cfg.packet_bytes,
-            };
-            f.outstanding.insert(
-                seq,
-                Pending {
-                    send_window: window,
-                    gap_deadline: None,
-                },
-            );
-            bit_set(&mut f.sent_bits, seq);
-            lane::set(f.wire_flow);
-            f.cc.on_packet_sent(now, seq, u64::from(self.cfg.packet_bytes));
-            lane::clear();
-            if f.rto_deadline.is_none() {
-                f.rto_deadline = now.checked_add(f.rtt.rto());
-            }
-            let dest = f.dest;
-            self.out.push(OutPacket {
-                to: dest,
-                bytes: pkt.encode().to_vec(),
-            });
-            bump(&self.c.sent);
-        }
+        let f = &mut self.flows[j];
+        lane::set(f.engine.flow());
+        let pkt = f.engine.send(now, seq);
+        lane::clear();
+        bit_set(&mut f.sent_bits, seq);
+        self.out.push(OutPacket {
+            to: f.dest,
+            bytes: pkt.encode().to_vec(),
+        });
+        bump(&self.c.sent);
         self.arm_rto(j);
     }
 
     /// Puts the flow's RTO deadline on the wheel if no timer is pending
     /// for it yet (one wheel entry per flow, quantized to the granule).
     fn arm_rto(&mut self, j: usize) {
-        let (deadline, armed) = {
-            let f = &self.flows[j];
-            (f.rto_deadline, f.rto_armed)
-        };
-        let Some(d) = deadline else { return };
-        if armed {
+        let f = &mut self.flows[j];
+        let Some(d) = f.engine.rto_deadline() else { return };
+        if f.rto_armed {
             return;
         }
+        f.rto_armed = true;
         self.plane.arm(quantize_up(d), TimerKind::Rto { flow: flow_index(j) });
-        self.flows[j].rto_armed = true;
     }
 
-    /// Sends fresh packets up to the controller's quota, shedding into
-    /// the ledger when the overload cap is hit.
+    /// Sends fresh sequences up to the controller's quota, shedding
+    /// into the ledger when the overload cap is hit.
     fn pump(&mut self, j: usize, now: SimTime) {
-        loop {
-            let (quota, shed_mode) = {
-                let f = &mut self.flows[j];
-                let in_flight = f.outstanding.len();
-                (
-                    f.cc.quota(now, in_flight),
-                    self.cfg
-                        .shed_outstanding_cap
-                        .is_some_and(|cap| in_flight >= cap),
-                )
-            };
-            if quota == 0 {
-                break;
-            }
-            if shed_mode {
-                // Overloaded: consume one quota batch of fresh demand as
-                // shed (counted, finished, never transmitted), then stop.
-                let f = &mut self.flows[j];
-                for _ in 0..quota {
-                    if f.next_fresh >= f.target {
-                        break;
-                    }
-                    let seq = f.next_fresh;
-                    f.next_fresh += 1;
-                    bit_set(&mut f.sent_bits, seq);
-                    if bit_set(&mut f.done_bits, seq) {
-                        // Only newly finished sequences enter the shed
-                        // column — an already-ACKed probe stays `acked`.
-                        f.done_count += 1;
-                        bump(&self.c.shed);
-                    }
-                    lane::set(f.wire_flow);
-                    f.cc.on_packet_sent(now, seq, u64::from(self.cfg.packet_bytes));
-                    lane::clear();
+        let c = self.c;
+        let out = &mut self.out;
+        let FlowState {
+            engine,
+            dest,
+            target,
+            sent_bits,
+            done_bits,
+            next_fresh,
+            done_count,
+            ..
+        } = &mut self.flows[j];
+        let fresh = || {
+            (*next_fresh < *target).then(|| {
+                *next_fresh += 1;
+                *next_fresh - 1
+            })
+        };
+        lane::set(engine.flow());
+        let pumped = engine.pump(now, fresh, |grant| {
+            match grant {
+                Pumped::Sent(pkt) => {
+                    bit_set(sent_bits, pkt.seq);
+                    out.push(OutPacket {
+                        to: *dest,
+                        bytes: pkt.encode().to_vec(),
+                    });
+                    bump(&c.sent);
                 }
-                break;
-            }
-            let mut sent_any = false;
-            for _ in 0..quota {
-                let next = {
-                    let f = &mut self.flows[j];
-                    if f.next_fresh >= f.target {
-                        None
-                    } else {
-                        let s = f.next_fresh;
-                        f.next_fresh += 1;
-                        Some(s)
+                Pumped::Shed(seq) => {
+                    bit_set(sent_bits, seq);
+                    // Only newly finished sequences enter the shed
+                    // column — an already-ACKed probe stays `acked`.
+                    if bit_set(done_bits, seq) {
+                        *done_count += 1;
+                        bump(&c.shed);
                     }
-                };
-                let Some(seq) = next else { break };
-                self.send_data(j, seq, now);
-                sent_any = true;
+                }
             }
-            if !sent_any {
-                break;
-            }
-        }
+            Ok::<(), Infallible>(())
+        });
+        lane::clear();
+        let Ok(()) = pumped;
+        self.arm_rto(j);
     }
 
     /// Retransmits sequences that were sent, are not finished, and are
     /// no longer in flight (RTO-cleared or gap-expired), up to the
     /// per-epoch budget.
     fn retransmit_sweep(&mut self, j: usize, now: SimTime) {
-        let mut picks = Vec::new();
+        let mut picks = [0u64; RETX_BUDGET];
+        let mut n = 0;
         {
             let f = &self.flows[j];
             'scan: for (w, &sent) in f.sent_bits.iter().enumerate() {
@@ -703,17 +642,18 @@ impl Shard<'_> {
                     if seq >= f.target {
                         break 'scan;
                     }
-                    if f.outstanding.get(seq).is_some() {
+                    if f.engine.is_in_flight(seq) {
                         continue;
                     }
-                    picks.push(seq);
-                    if picks.len() >= RETX_BUDGET {
+                    picks[n] = seq;
+                    n += 1;
+                    if n == RETX_BUDGET {
                         break 'scan;
                     }
                 }
             }
         }
-        for seq in picks {
+        for &seq in &picks[..n] {
             bump(&self.c.retransmits);
             self.send_data(j, seq, now);
         }
@@ -722,18 +662,12 @@ impl Shard<'_> {
     /// All-finished check: drains and closes a flow whose every
     /// sequence is acked-or-shed, then records the closure.
     fn finish(&mut self, j: usize, now: SimTime) {
-        {
-            let f = &mut self.flows[j];
-            if !f.closed_noted && f.done_count == f.target && !f.session.is_closed() {
-                lane::set(f.wire_flow);
-                if let Some(tr) = f.session.begin_drain(now) {
-                    note_transition(f.cc.as_mut(), &tr);
-                }
-                if let Some(tr) = f.session.drained(now) {
-                    note_transition(f.cc.as_mut(), &tr);
-                }
-                lane::clear();
-            }
+        let f = &mut self.flows[j];
+        if !f.closed_noted && f.done_count == f.target && !f.engine.session().is_closed() {
+            lane::set(f.engine.flow());
+            f.engine.step_session(|s| s.begin_drain(now));
+            f.engine.step_session(|s| s.drained(now));
+            lane::clear();
         }
         self.note_if_closed(j);
     }
@@ -742,7 +676,7 @@ impl Shard<'_> {
     /// with the `stuck` column for unfinished budgets).
     fn note_if_closed(&mut self, j: usize) {
         let f = &mut self.flows[j];
-        if f.session.is_closed() && !f.closed_noted {
+        if f.engine.session().is_closed() && !f.closed_noted {
             f.closed_noted = true;
             self.closed += 1;
             bump(&self.c.closed);
@@ -752,81 +686,32 @@ impl Shard<'_> {
         }
     }
 
-    /// One epoch fire: session upkeep, owed CC ticks, gap sweep, then
-    /// the send path (pump + retransmit sweep, or a reconnect probe).
+    /// One epoch fire at boundary `at`: session upkeep, owed CC ticks,
+    /// gap sweep, then the send path (pump + retransmit sweep, or a
+    /// reconnect probe).
     fn epoch_fire(&mut self, j: usize, at: SimTime, now: SimTime) {
-        if self.flows[j].closed_noted {
+        let f = &mut self.flows[j];
+        if f.closed_noted {
             return;
         }
-        let mut next_epoch = None;
-        {
-            let f = &mut self.flows[j];
-            lane::set(f.wire_flow);
-            while let Some(tr) = f.session.poll(now) {
-                note_transition(f.cc.as_mut(), &tr);
-            }
-            if !f.session.is_closed() {
-                // Owed CC ticks: one per epoch boundary in (at, now],
-                // plus the one this fire represents. A late loop pays
-                // its tick debt instead of silently slowing the clock.
-                if f.has_tick {
-                    f.cc.on_tick(at);
-                }
-                let mut due = at;
-                loop {
-                    let step = due + f.epoch;
-                    if step > now {
-                        next_epoch = Some(step);
-                        break;
-                    }
-                    due = step;
-                    if f.has_tick {
-                        f.cc.on_tick(due);
-                    }
-                }
-                // §5.2 gap sweep: overdue reordering timers are losses.
-                let overdue: Vec<(u64, f64)> = f
-                    .outstanding
-                    .iter()
-                    .filter(|(_, p)| p.gap_deadline.is_some_and(|d| d <= now))
-                    .map(|(s, p)| (s, p.send_window))
-                    .collect();
-                for (seq, send_window) in overdue {
-                    f.outstanding.remove(seq);
-                    bump(&self.c.fast_losses);
-                    f.cc.on_loss(
-                        now,
-                        &LossEvent {
-                            seq,
-                            send_window,
-                            kind: LossKind::FastRetransmit,
-                        },
-                    );
-                }
-            }
-            lane::clear();
+        lane::set(f.engine.flow());
+        while f.engine.step_session(|s| s.poll(now)).is_some() {}
+        let live = !f.engine.session().is_closed();
+        let next_epoch = live.then(|| f.engine.tick_through(at, now));
+        if live {
+            let losses = f.engine.sweep_gaps(now);
+            bump_by(&self.c.fast_losses, losses);
         }
-        let (may_send, is_closed) = {
-            let f = &self.flows[j];
-            (f.session.may_send(), f.session.is_closed())
-        };
-        if may_send {
+        lane::clear();
+        if f.engine.session().may_send() {
             self.pump(j, now);
             self.retransmit_sweep(j, now);
-        } else if !is_closed {
+        } else if live && f.engine.probe_due(now) {
             // Disconnected: probe on the backoff schedule. The probe
             // retransmits the lowest unfinished sequence — never a
             // fresh one — so the ledger's sequence space stays exact
             // (deliberate divergence from the per-socket supervisor).
-            let probe = {
-                let f = &mut self.flows[j];
-                if f.session.probe_due(now) {
-                    first_undone(&f.done_bits, f.target)
-                } else {
-                    None
-                }
-            };
-            if let Some(seq) = probe {
+            if let Some(seq) = first_undone(&f.done_bits, f.target) {
                 bump(&self.c.probes);
                 self.send_data(j, seq, now);
             }
@@ -840,145 +725,65 @@ impl Shard<'_> {
     }
 
     /// One RTO fire: a stale or restamped deadline re-arms; a genuine
-    /// expiry clears the in-flight table (supervisor semantics — the
-    /// sweep retransmits the cleared range) and backs the RTO off.
+    /// expiry clears the in-flight table (the sweep retransmits the
+    /// cleared range) and backs the RTO off.
     fn rto_fire(&mut self, j: usize, now: SimTime) {
-        {
-            let f = &mut self.flows[j];
-            f.rto_armed = false;
-            if f.closed_noted {
-                return;
-            }
-            let Some(d) = f.rto_deadline else { return };
-            if now >= d {
-                if f.outstanding.is_empty() {
-                    f.rto_deadline = None;
-                } else {
-                    let (seq, send_window) = f
-                        .outstanding
-                        .front()
-                        .map(|(s, p)| (s, p.send_window))
-                        .unwrap_or((0, 1.0));
-                    f.outstanding.clear();
-                    bump(&self.c.timeouts);
-                    f.rto_retries += 1;
-                    lane::set(f.wire_flow);
-                    f.cc.on_loss(
-                        now,
-                        &LossEvent {
-                            seq,
-                            send_window,
-                            kind: LossKind::Timeout,
-                        },
-                    );
-                    lane::clear();
-                    f.rto_deadline = now.checked_add(f.rtt.backed_off_rto(f.rto_retries));
-                }
-            }
-            // now < d: the wheel entry predates a restamp; fall through
-            // and re-arm at the current deadline.
+        let f = &mut self.flows[j];
+        f.rto_armed = false;
+        if f.closed_noted {
+            return;
         }
+        lane::set(f.engine.flow());
+        if f.engine.expire_rto(now) {
+            bump(&self.c.timeouts);
+        }
+        lane::clear();
         self.arm_rto(j);
     }
 
-    /// One inbound datagram: decode, route, and apply supervisor ACK
-    /// semantics (RTT sample always; CC events only for in-flight
-    /// sequences; gap timers armed below the ACK frontier).
+    /// One inbound datagram: decode, route, run the engine's ACK rules,
+    /// and finish the sequence in the ledger — a late ACK for an
+    /// RTO-cleared packet finishes it too, though it fed no CC event; an
+    /// ACK the engine refuses finishes nothing.
     fn handle_ack(&mut self, buf: &[u8], now: SimTime) {
         let Ok(ack) = AckPacket::decode(buf) else { return };
         let Some(&j) = self.route.get(&ack.flow) else { return };
-        let finished = {
-            let f = &mut self.flows[j];
-            if f.closed_noted || ack.seq >= f.target {
-                return;
-            }
-            lane::set(f.wire_flow);
-            if let Some(tr) = f.session.on_ack(now) {
-                note_transition(f.cc.as_mut(), &tr);
-            }
-            let sample = now.saturating_since(SimTime::from_micros(ack.echo_send_time_us));
-            f.rtt.on_sample(sample);
-            if let Some(_pending) = f.outstanding.remove(ack.seq) {
-                f.rto_retries = 0;
-                if bit_set(&mut f.done_bits, ack.seq) {
-                    f.done_count += 1;
-                    bump(&self.c.acked);
-                }
-                let one_way = SimTime::from_micros(ack.recv_time_us)
-                    .saturating_since(SimTime::from_micros(ack.echo_send_time_us));
-                f.cc.on_ack(
-                    now,
-                    &AckEvent {
-                        seq: ack.seq,
-                        bytes: u64::from(self.cfg.packet_bytes),
-                        rtt: sample,
-                        delay: one_way,
-                        send_window: ack.send_window,
-                        abc_mark: None,
-                    },
-                );
-                // Restamp the RTO from this ACK; arm gap timers on
-                // everything the ACK overtook.
-                f.rto_deadline = if f.outstanding.is_empty() {
-                    None
-                } else {
-                    now.checked_add(f.rtt.rto())
-                };
-                let gap = f.rtt.srtt_or(SimDuration::from_millis(200)).mul_f64(self.cfg.gap_factor);
-                if let Some(gap_at) = now.checked_add(gap) {
-                    for (_seq, p) in f.outstanding.iter_below_mut(ack.seq) {
-                        if p.gap_deadline.is_none() {
-                            p.gap_deadline = Some(gap_at);
-                        }
-                    }
-                }
-            } else if bit_set(&mut f.done_bits, ack.seq) {
-                // Late ACK for an RTO-cleared packet: it still finishes
-                // the sequence (ledger), but feeds no CC event — the
-                // supervisor's stale-ACK rule.
-                f.done_count += 1;
-                bump(&self.c.acked);
-            }
-            lane::clear();
-            f.done_count == f.target
-        };
+        let f = &mut self.flows[j];
+        if f.closed_noted || ack.seq >= f.target {
+            return;
+        }
+        lane::set(ack.flow);
+        let accepted = f.engine.on_ack(now, &ack).is_some();
+        lane::clear();
+        if !accepted {
+            return;
+        }
+        if bit_set(&mut f.done_bits, ack.seq) {
+            f.done_count += 1;
+            bump(&self.c.acked);
+        }
+        let finished = f.done_count == f.target;
         self.arm_rto(j);
         if finished {
             self.finish(j, now);
         }
     }
 
-    /// Graceful deadline: every live flow starts draining (flows still
-    /// `Connecting` close immediately — nothing to drain).
-    fn drain_all(&mut self, now: SimTime) {
+    /// A coordinator command to every live flow: `Drain` starts draining
+    /// (flows still `Connecting` close at once — nothing to drain),
+    /// `Abort` closes now.
+    fn command_all(&mut self, cmd: ShardCommand, now: SimTime) {
         for j in 0..self.flows.len() {
-            {
-                let f = &mut self.flows[j];
-                if f.closed_noted {
-                    continue;
-                }
-                lane::set(f.wire_flow);
-                if let Some(tr) = f.session.begin_drain(now) {
-                    note_transition(f.cc.as_mut(), &tr);
-                }
-                lane::clear();
+            let f = &mut self.flows[j];
+            if f.closed_noted {
+                continue;
             }
-            self.note_if_closed(j);
-        }
-    }
-
-    /// Hard deadline: every live flow closes now.
-    fn abort_all(&mut self, now: SimTime) {
-        for j in 0..self.flows.len() {
-            {
-                let f = &mut self.flows[j];
-                if f.closed_noted {
-                    continue;
-                }
-                if let Some(tr) = f.session.abort(now) {
-                    note_transition(f.cc.as_mut(), &tr);
-                }
-            }
+            lane::set(f.engine.flow());
+            f.engine.step_session(|s| match cmd {
+                ShardCommand::Drain => s.begin_drain(now),
+                ShardCommand::Abort => s.abort(now),
+            });
+            lane::clear();
             self.note_if_closed(j);
         }
     }
@@ -1027,15 +832,14 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
     let socket = UdpSocket::bind(("127.0.0.1", 0))?;
     let mut io = batcher_for(socket, cfg.io_mode)?;
     let mut shard = Shard {
-        cfg: &cfg,
         c,
-        clock: input.clock,
         flows: Vec::with_capacity(input.specs.len()),
         route: HashMap::with_capacity(input.specs.len()),
         plane: TimerPlane::new(),
         out: Vec::new(),
         closed: 0,
     };
+    let clock = input.clock;
     let mut stagger = SplitMix64::new(cfg.seed ^ (input.shard_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     for (j, spec) in input.specs.into_iter().enumerate() {
         let mut scfg = cfg.session;
@@ -1043,26 +847,23 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
         let words = usize::try_from(spec.packets / 64 + 1).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidInput, "flow packet budget too large")
         })?;
-        let epoch = spec.cc.tick_interval().unwrap_or(cfg.epoch);
-        let has_tick = spec.cc.tick_interval().is_some();
+        let params = FlowParams {
+            flow: spec.flow,
+            packet_bytes: cfg.packet_bytes,
+            gap_factor: cfg.gap_factor,
+            shed_cap: cfg.shed_outstanding_cap,
+            epoch: cfg.epoch,
+        };
         shard.route.insert(spec.flow, j);
         shard.flows.push(FlowState {
-            wire_flow: spec.flow,
+            engine: FlowEngine::new(spec.cc, Session::new(scfg, input.start), params),
             dest: spec.dest,
             target: spec.packets,
-            cc: spec.cc,
-            session: Session::new(scfg, input.start),
-            rtt: RttEstimator::default(),
-            epoch,
-            has_tick,
-            outstanding: OutstandingTable::new(),
             sent_bits: vec![0; words],
             done_bits: vec![0; words],
             next_fresh: 0,
             done_count: 0,
-            rto_deadline: None,
             rto_armed: false,
-            rto_retries: 0,
             closed_noted: false,
         });
         let offset_ns = stagger.next_u64() % cfg.stagger.as_nanos().max(1);
@@ -1074,12 +875,9 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
     let total = shard.flows.len();
     let mut last_seen = 0u64;
     loop {
-        let now = shard.clock.now();
+        let now = clock.now();
         if let Some(cmd) = input.mailbox.take(&mut last_seen) {
-            match cmd {
-                ShardCommand::Drain => shard.drain_all(now),
-                ShardCommand::Abort => shard.abort_all(now),
-            }
+            shard.command_all(cmd, now);
         }
         while let Some((at, kind)) = shard.plane.pop_due(now) {
             let j = usize::try_from(kind.flow()).unwrap_or(usize::MAX);
@@ -1091,7 +889,7 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
                 TimerKind::Rto { .. } => shard.rto_fire(j, now),
             }
         }
-        let recv_now = shard.clock.now();
+        let recv_now = clock.now();
         let mut backlog = false;
         loop {
             let got = io.recv_batch(&mut |buf, _from| shard.handle_ack(buf, recv_now))?;
@@ -1127,7 +925,7 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
             let sleep = shard
                 .plane
                 .next_deadline()
-                .map_or(SLEEP_MAX, |d| d.saturating_since(shard.clock.now()).to_std())
+                .map_or(SLEEP_MAX, |d| d.saturating_since(clock.now()).to_std())
                 .clamp(SLEEP_MIN, SLEEP_MAX);
             thread::sleep(sleep);
         }

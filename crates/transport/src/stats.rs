@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use verus_stats::{StreamingStats, Summary, ThroughputSeries};
 
-/// What a [`crate::UdpSender`] measured over one transfer.
+/// What a [`crate::SupervisedSender`] measured over one transfer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TransferStats {
     /// Protocol name.
@@ -19,8 +19,7 @@ pub struct TransferStats {
     /// Packets the overload guard refused to put on the wire (sequence
     /// numbers consumed, counted as sent, never transmitted — the
     /// transport-side analogue of the simulator's `shed_dropped` ledger
-    /// column). Always 0 for the plain [`crate::UdpSender`]; only the
-    /// supervised sender sheds.
+    /// column). Always 0 unless the supervisor's shed cap is set.
     #[serde(default)]
     pub shed_dropped: u64,
     /// Acknowledged throughput in 1-second windows (bytes credited at

@@ -1,29 +1,29 @@
-//! The supervised sender: [`crate::UdpSender`]'s control loop wrapped
-//! in a [`Session`] lifecycle.
+//! The supervised sender: one UDP socket, one wall-clock loop, one
+//! [`FlowEngine`] — the paper's prototype sender (§5) inside a
+//! [`Session`] lifecycle. Each loop iteration takes the session's owed
+//! liveness edges (and starts draining once the duration is up), pays
+//! owed ε-epoch ticks, runs the gap sweep and the RTO, drains ACKs, then
+//! pumps the controller's quota — or, while disconnected, sends one
+//! probe per [`BackoffSchedule`](crate::session::BackoffSchedule) slot —
+//! and sleeps on the socket's 500 µs read timeout.
 //!
-//! The plain sender trusts the congestion controller to survive
-//! anything; this one adds the session layer the paper's prototype
-//! leaves implicit:
+//! The session layer adds what the paper's prototype leaves implicit:
 //!
 //! * **Liveness supervision** — per-state deadlines ([`SessionConfig`])
 //!   notice a silent peer, degrade the session, and eventually move to
 //!   explicit reconnect probing instead of hammering a dead link at the
 //!   controller's pace.
-//! * **Capped-backoff reconnects** — in `Connecting`/`Reconnecting` the
-//!   only traffic is one probe per [`BackoffSchedule`](crate::session::BackoffSchedule)
-//!   slot. Probes are ordinary data packets (the receiver ACKs all data
-//!   packets), so the first ACK back both proves liveness and feeds the
-//!   controller a fresh RTT sample.
+//! * **Reconnect probes** — a probe is an ordinary data packet with a
+//!   fresh sequence (the receiver ACKs all data packets), so the first
+//!   ACK back both proves liveness and feeds the controller an RTT
+//!   sample.
 //! * **Session resumption** — on a reconnect the controller is *kept*,
 //!   not rebuilt: [`CongestionControl::on_session_resumed`] lets it
-//!   warm-restart from its learned link model (Verus re-enters
-//!   congestion avoidance from its delay profile instead of slow start).
+//!   warm-restart from its learned link model.
 //! * **Overload shedding** — above a configurable outstanding cap, new
 //!   quota is shed: sequence numbers are consumed and counted
-//!   ([`TransferStats::shed_dropped`]) but nothing hits the wire, so a
-//!   controller confused by a disruption cannot flood the queue. The
-//!   same accounting column exists in the simulator's conservation
-//!   ledger, keeping both substrates' books comparable.
+//!   ([`TransferStats::shed_dropped`]) but nothing hits the wire — the
+//!   same column as the simulator's conservation ledger.
 //!
 //! Session transitions are emitted as `verus-trace` session records
 //! when a trace handle is attached, and returned in the
@@ -31,25 +31,53 @@
 //! time-to-recovery against these).
 
 use crate::clock::WallClock;
-use crate::sender::SenderConfig;
+use crate::flow::{FlowEngine, FlowParams, Pumped};
 use crate::session::{Session, SessionConfig, Transition};
 use crate::stats::TransferStats;
-use std::net::UdpSocket;
+use std::net::{SocketAddr, UdpSocket};
 use std::time::Duration;
-use verus_netsim::OutstandingTable;
-use verus_nettypes::{
-    AckEvent, AckPacket, CongestionControl, DataPacket, LossEvent, LossKind, RttEstimator,
-    SimDuration, SimTime,
-};
-use verus_stats::ThroughputSeries;
+use verus_nettypes::{AckPacket, CongestionControl, SimDuration, SimTime};
+use verus_stats::{StreamingStats, ThroughputSeries};
 use verus_trace::{SessionEventKind, SessionRecord, SessionState, TraceHandle};
 
-/// Supervised-sender configuration: the plain sender's knobs plus the
-/// session layer's.
+/// Socket, pacing and duration configuration of one sender.
+#[derive(Debug, Clone)]
+pub struct SenderConfig {
+    /// Destination (receiver or emulator ingress).
+    pub dest: SocketAddr,
+    /// Local bind address (use port 0 for ephemeral).
+    pub bind: String,
+    /// Payload bytes per packet (1400 in the paper).
+    pub packet_bytes: u32,
+    /// How long to send before draining.
+    pub duration: Duration,
+    /// Flow id stamped into packets.
+    pub flow: u32,
+    /// Gap-timer factor (§5.2's "3×delay"; window-based baselines
+    /// approximate duplicate-ACK counting with a smaller factor).
+    pub gap_factor: f64,
+}
+
+impl SenderConfig {
+    /// Defaults for a Verus flow to `dest`.
+    #[must_use]
+    pub fn new(dest: SocketAddr, duration: Duration) -> Self {
+        Self {
+            dest,
+            bind: "127.0.0.1:0".into(),
+            packet_bytes: 1400,
+            duration,
+            flow: 1,
+            gap_factor: 3.0,
+        }
+    }
+}
+
+/// Supervised-sender configuration: the sender's knobs plus the session
+/// layer's.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Socket, pacing and duration configuration (as for
-    /// [`crate::UdpSender`]).
+    /// Socket, pacing and duration configuration.
     pub sender: SenderConfig,
     /// Session liveness deadlines and backoff.
     pub session: SessionConfig,
@@ -75,8 +103,7 @@ impl SupervisorConfig {
 /// history the recovery SLOs are computed from.
 #[derive(Debug)]
 pub struct SessionReport {
-    /// Packet-level statistics (as from the plain sender), including
-    /// the shed count.
+    /// Packet-level statistics, including the shed count.
     pub stats: TransferStats,
     /// Every session-state edge taken, in order.
     pub transitions: Vec<Transition>,
@@ -120,22 +147,17 @@ impl SessionReport {
     }
 }
 
-/// The supervised sender: owns the socket, the session machine and the
-/// control loop.
+/// The supervised sender: owns the socket, the flow engine and the
+/// wall-clock loop.
 pub struct SupervisedSender {
     config: SupervisorConfig,
     clock: WallClock,
     trace: TraceHandle,
 }
 
-struct Outstanding {
-    send_window: f64,
-    gap_deadline: Option<SimTime>,
-}
-
 impl SupervisedSender {
     /// Creates a supervised sender sharing `clock` with the local
-    /// receiver/emulator.
+    /// receiver/emulator, so one-way delays are exact.
     #[must_use]
     pub fn new(config: SupervisorConfig, clock: WallClock) -> Self {
         Self {
@@ -155,30 +177,24 @@ impl SupervisedSender {
     /// elapses and the session drains, returning the report.
     ///
     /// # Errors
-    /// Propagates socket setup/send failures.
-    #[allow(clippy::too_many_lines)]
-    pub fn run(&mut self, mut cc: Box<dyn CongestionControl>) -> std::io::Result<SessionReport> {
-        let socket = UdpSocket::bind(&self.config.sender.bind)?;
-        socket.connect(self.config.sender.dest)?;
+    /// Propagates socket setup/send/receive failures.
+    pub fn run(&mut self, cc: Box<dyn CongestionControl>) -> std::io::Result<SessionReport> {
+        let cfg = self.config.sender.clone();
+        let socket = UdpSocket::bind(&cfg.bind)?;
+        socket.connect(cfg.dest)?;
         socket.set_read_timeout(Some(Duration::from_micros(500)))?;
 
         let start = self.clock.now();
-        let deadline = start + SimDuration::from_std(self.config.sender.duration);
-        let tick = cc.tick_interval();
-        let mut next_tick = tick.map(|t| start + t);
-
-        let mut session = Session::new(self.config.session, start);
-        let mut transitions: Vec<Transition> = Vec::new();
-        let mut last_change = start;
-
-        // The simulator's slab-backed in-flight table (shared netsim
-        // infrastructure; see `verus_netsim::OutstandingTable`).
-        let mut outstanding: OutstandingTable<Outstanding> = OutstandingTable::new();
-        let mut next_seq: u64 = 0;
-        let mut rtt = RttEstimator::default();
-        let mut rto_deadline: Option<SimTime> = None;
-        let mut rto_retries: u32 = 0;
-
+        let deadline = start + SimDuration::from_std(cfg.duration);
+        let params = FlowParams {
+            flow: cfg.flow,
+            packet_bytes: cfg.packet_bytes,
+            gap_factor: cfg.gap_factor,
+            shed_cap: self.config.shed_outstanding_cap,
+            // The loop itself is the maintenance clock: a controller
+            // without a tick interval has no epochs here.
+            epoch: SimDuration::MAX,
+        };
         let mut stats = TransferStats {
             protocol: cc.name().to_string(),
             sent: 0,
@@ -188,136 +204,62 @@ impl SupervisedSender {
             shed_dropped: 0,
             throughput: ThroughputSeries::new(1.0),
             delays_ms: Vec::new(),
-            delay_stats: verus_stats::StreamingStats::for_delays_ms(),
-            duration_secs: self.config.sender.duration.as_secs_f64(),
+            delay_stats: StreamingStats::for_delays_ms(),
+            duration_secs: cfg.duration.as_secs_f64(),
         };
-
+        let mut engine = FlowEngine::new(cc, Session::new(self.config.session, start), params);
+        let mut next_tick = start.checked_add(engine.epoch()).unwrap_or(SimTime::MAX);
+        let mut transitions: Vec<Transition> = Vec::new();
+        let mut last_change = start;
+        let mut next_seq: u64 = 0;
         let mut buf = [0u8; 2048];
         let mut draining = false;
-        while !session.is_closed() {
+        while !engine.session().is_closed() {
             let now = self.clock.now();
             if now >= deadline && !draining {
                 draining = true;
-                if let Some(tr) = session.begin_drain(now) {
-                    self.note(tr, &mut cc, &mut last_change, &mut transitions);
+                if let Some(tr) = engine.step_session(|s| s.begin_drain(now)) {
+                    self.note(tr, &mut last_change, &mut transitions);
                 }
             }
-
-            // 0. Session liveness deadlines (a stalled loop can owe more
-            //    than one edge; drain them all).
-            while let Some(tr) = session.poll(now) {
-                self.note(tr, &mut cc, &mut last_change, &mut transitions);
+            // A stalled loop can owe more than one liveness edge; take
+            // them all.
+            while let Some(tr) = engine.step_session(|s| s.poll(now)) {
+                self.note(tr, &mut last_change, &mut transitions);
             }
-            if session.is_closed() {
+            if engine.session().is_closed() {
                 break;
             }
 
-            // 1. Epoch ticks, with catch-up (see `UdpSender::run`).
-            if let (Some(t), Some(period)) = (next_tick, tick) {
-                let mut due = t;
-                while now >= due {
-                    cc.on_tick(now);
-                    due = due + period;
-                }
-                next_tick = Some(due);
+            next_tick = engine.tick_through(next_tick, now);
+            stats.fast_losses += engine.sweep_gaps(now);
+            if engine.expire_rto(now) {
+                stats.timeouts += 1;
             }
 
-            // 2. Gap timers.
-            let due: Vec<u64> = outstanding
-                .iter()
-                .filter(|(_, o)| o.gap_deadline.is_some_and(|d| now >= d))
-                .map(|(s, _)| s)
-                .collect();
-            for seq in due {
-                let Some(o) = outstanding.remove(seq) else {
-                    continue;
-                };
-                stats.fast_losses += 1;
-                cc.on_loss(
-                    now,
-                    &LossEvent {
-                        seq,
-                        send_window: o.send_window,
-                        kind: LossKind::FastRetransmit,
-                    },
-                );
-            }
-
-            // 3. RTO.
-            if let Some(d) = rto_deadline {
-                if now >= d && !outstanding.is_empty() {
-                    let oldest = outstanding.front().map(|(s, o)| (s, o.send_window));
-                    if let Some((oldest, send_window)) = oldest {
-                        outstanding.clear();
-                        stats.timeouts += 1;
-                        rto_retries += 1;
-                        cc.on_loss(
-                            now,
-                            &LossEvent {
-                                seq: oldest,
-                                send_window,
-                                kind: LossKind::Timeout,
-                            },
-                        );
-                        rto_deadline = Some(now + rtt.backed_off_rto(rto_retries));
-                    }
-                }
-            }
-
-            // 4. Drain ACKs. Every valid ACK is proof of peer liveness
-            //    for the session machine, even if the packet it covers
-            //    was already declared lost.
+            // Drain ACKs (bounded batch per iteration). Every valid ACK
+            // is proof of peer liveness, even for a packet already
+            // declared lost.
             for _ in 0..256 {
                 match socket.recv(&mut buf) {
                     Ok(n) => {
-                        let Ok(ack) = AckPacket::decode(&buf[..n]) else {
+                        let now = self.clock.now();
+                        let Some(outcome) = AckPacket::decode(&buf[..n])
+                            .ok()
+                            .and_then(|ack| engine.on_ack(now, &ack))
+                        else {
                             continue;
                         };
-                        let now = self.clock.now();
-                        if let Some(tr) = session.on_ack(now) {
-                            self.note(tr, &mut cc, &mut last_change, &mut transitions);
+                        if let Some(tr) = outcome.transition {
+                            self.note(tr, &mut last_change, &mut transitions);
                         }
-                        let sample =
-                            now.saturating_since(SimTime::from_micros(ack.echo_send_time_us));
-                        rtt.on_sample(sample);
-                        let Some(o) = outstanding.remove(ack.seq) else {
-                            continue; // stale: no CC events
-                        };
-                        let _ = o;
-                        let one_way = SimTime::from_micros(ack.recv_time_us)
-                            .saturating_since(SimTime::from_micros(ack.echo_send_time_us));
-                        rto_retries = 0;
-                        stats.acked += 1;
-                        let one_way_ms = one_way.as_millis_f64();
-                        stats.delay_stats.record(one_way_ms);
-                        stats.delays_ms.push(one_way_ms);
-                        stats.throughput.record(
-                            now.saturating_since(start).as_secs_f64(),
-                            u64::from(self.config.sender.packet_bytes),
-                        );
-                        cc.on_ack(
-                            now,
-                            &AckEvent {
-                                seq: ack.seq,
-                                bytes: u64::from(self.config.sender.packet_bytes),
-                                rtt: sample,
-                                delay: one_way,
-                                send_window: ack.send_window,
-                                abc_mark: None,
-                            },
-                        );
-                        rto_deadline = if outstanding.is_empty() {
-                            None
-                        } else {
-                            Some(now + rtt.rto())
-                        };
-                        let gap = rtt
-                            .srtt_or(SimDuration::from_millis(200))
-                            .mul_f64(self.config.sender.gap_factor);
-                        for (_, o) in outstanding.iter_below_mut(ack.seq) {
-                            if o.gap_deadline.is_none() {
-                                o.gap_deadline = Some(now + gap);
-                            }
+                        if let Some(delay) = outcome.delay {
+                            let delay_ms = delay.as_millis_f64();
+                            stats.acked += 1;
+                            stats.delay_stats.record(delay_ms);
+                            stats.delays_ms.push(delay_ms);
+                            let at = now.saturating_since(start).as_secs_f64();
+                            stats.throughput.record(at, u64::from(cfg.packet_bytes));
                         }
                     }
                     Err(e)
@@ -330,122 +272,57 @@ impl SupervisedSender {
                 }
             }
 
-            // 5. Probe / pump, gated by session state.
+            // Pump, or probe while disconnected. Every sequence is
+            // fresh, probes included.
             let now = self.clock.now();
-            if session.may_send() && !draining {
-                loop {
-                    let quota = cc.quota(now, outstanding.len());
-                    if quota == 0 {
-                        break;
-                    }
-                    // Overload guard: above the cap, shed this quota
-                    // batch — consume sequence numbers and credit but
-                    // keep the packets off the wire. One batch only:
-                    // window-based controllers would re-grant the same
-                    // quota forever (in_flight never grows from sheds).
-                    if self
-                        .config
-                        .shed_outstanding_cap
-                        .is_some_and(|cap| outstanding.len() >= cap)
-                    {
-                        for _ in 0..quota {
-                            let seq = next_seq;
-                            next_seq += 1;
-                            stats.sent += 1;
-                            stats.shed_dropped += 1;
-                            cc.on_packet_sent(
-                                now,
-                                seq,
-                                u64::from(self.config.sender.packet_bytes),
-                            );
-                        }
-                        break;
-                    }
-                    for _ in 0..quota {
-                        let seq = next_seq;
-                        next_seq += 1;
-                        let pkt = DataPacket {
-                            flow: self.config.sender.flow,
-                            seq,
-                            send_time_us: self.clock.now_micros(),
-                            send_window: cc.window().max(1.0),
-                            payload_len: self.config.sender.packet_bytes,
-                        };
-                        outstanding.insert(
-                            seq,
-                            Outstanding {
-                                send_window: pkt.send_window,
-                                gap_deadline: None,
-                            },
-                        );
-                        stats.sent += 1;
-                        cc.on_packet_sent(now, seq, u64::from(self.config.sender.packet_bytes));
-                        if rto_deadline.is_none() {
-                            rto_deadline = Some(now + rtt.rto());
-                        }
-                        socket.send(&pkt.encode())?;
-                    }
-                }
-            } else if !session.is_closed() && session.probe_due(now) {
-                // One reconnect probe per backoff slot: an ordinary data
-                // packet, so the receiver's ACK re-establishes the
-                // session and feeds the controller a fresh RTT sample.
-                let seq = next_seq;
-                next_seq += 1;
-                let pkt = DataPacket {
-                    flow: self.config.sender.flow,
-                    seq,
-                    send_time_us: self.clock.now_micros(),
-                    send_window: cc.window().max(1.0),
-                    payload_len: self.config.sender.packet_bytes,
+            if engine.session().may_send() {
+                let fresh = || {
+                    next_seq += 1;
+                    Some(next_seq - 1)
                 };
-                outstanding.insert(
-                    seq,
-                    Outstanding {
-                        send_window: pkt.send_window,
-                        gap_deadline: None,
-                    },
-                );
+                engine.pump(now, fresh, |grant| {
+                    stats.sent += 1;
+                    match grant {
+                        Pumped::Sent(pkt) => socket.send(&pkt.encode()).map(drop),
+                        Pumped::Shed(_) => {
+                            stats.shed_dropped += 1;
+                            Ok(())
+                        }
+                    }
+                })?;
+            } else if engine.probe_due(now) {
+                let pkt = engine.send(now, next_seq);
+                next_seq += 1;
                 stats.sent += 1;
-                cc.on_packet_sent(now, seq, u64::from(self.config.sender.packet_bytes));
-                if rto_deadline.is_none() {
-                    rto_deadline = Some(now + rtt.rto());
-                }
                 socket.send(&pkt.encode())?;
             }
 
-            // 6. Drain completion: everything out is accounted for.
-            if draining && outstanding.is_empty() {
-                if let Some(tr) = session.drained(self.clock.now()) {
-                    self.note(tr, &mut cc, &mut last_change, &mut transitions);
+            // Drain completion: everything out is accounted for.
+            if draining && engine.in_flight() == 0 {
+                let now = self.clock.now();
+                if let Some(tr) = engine.step_session(|s| s.drained(now)) {
+                    self.note(tr, &mut last_change, &mut transitions);
                 }
             }
-            // The read timeout above provides the pacing sleep.
         }
 
         self.trace.flush();
         Ok(SessionReport {
             stats,
-            final_state: session.state(),
-            probes_sent: session.total_retries(),
+            final_state: engine.session().state(),
+            probes_sent: engine.session().total_retries(),
             transitions,
         })
     }
 
-    /// Records one session transition: resumption hook, trace records,
-    /// report history.
+    /// Records one session transition: trace records and report history
+    /// (the engine already ran the resumption hook).
     fn note(
         &mut self,
         tr: Transition,
-        cc: &mut Box<dyn CongestionControl>,
         last_change: &mut SimTime,
         transitions: &mut Vec<Transition>,
     ) {
-        // A reconnect (not the initial connect) resumes the controller:
-        // keep its learned link model, clear disruption-era transients.
-        if tr.from == SessionState::Reconnecting && tr.to == SessionState::Established {
-            cc.on_session_resumed(tr.at);
-        }
         if self.trace.is_enabled() {
             self.trace.session(&SessionRecord {
                 t_ns: tr.at.as_nanos(),

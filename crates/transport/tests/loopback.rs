@@ -13,7 +13,7 @@ use verus_cellular::{OperatorModel, Scenario};
 use verus_core::VerusCc;
 use verus_nettypes::SimDuration;
 use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, UdpSender, WallClock,
+    Emulator, EmulatorConfig, Receiver, SenderConfig, SupervisedSender, SupervisorConfig, WallClock,
 };
 
 fn trace(seed: u64) -> verus_cellular::Trace {
@@ -28,11 +28,14 @@ fn verus_over_emulated_cellular_loopback() {
     let rx = Receiver::spawn("127.0.0.1:0", clock).unwrap();
     let emu = Emulator::spawn(EmulatorConfig::new(trace(1), rx.local_addr()), clock).unwrap();
 
-    let sender = UdpSender::new(
-        SenderConfig::new(emu.ingress_addr(), Duration::from_secs(3)),
+    let mut sender = SupervisedSender::new(
+        SupervisorConfig::new(SenderConfig::new(
+            emu.ingress_addr(),
+            Duration::from_secs(3),
+        )),
         clock,
     );
-    let stats = sender.run(Box::new(VerusCc::default())).unwrap();
+    let stats = sender.run(Box::new(VerusCc::default())).unwrap().stats;
 
     assert!(stats.sent > 50, "sent only {} packets", stats.sent);
     assert!(
@@ -59,14 +62,14 @@ fn cubic_over_emulated_cellular_loopback() {
     let rx = Receiver::spawn("127.0.0.1:0", clock).unwrap();
     let emu = Emulator::spawn(EmulatorConfig::new(trace(2), rx.local_addr()), clock).unwrap();
 
-    let sender = UdpSender::new(
-        SenderConfig {
+    let mut sender = SupervisedSender::new(
+        SupervisorConfig::new(SenderConfig {
             gap_factor: 1.5, // duplicate-ACK-like for TCP
             ..SenderConfig::new(emu.ingress_addr(), Duration::from_secs(3))
-        },
+        }),
         clock,
     );
-    let stats = sender.run(Box::new(Cubic::new())).unwrap();
+    let stats = sender.run(Box::new(Cubic::new())).unwrap().stats;
     assert!(stats.acked > 50, "cubic moved only {} packets", stats.acked);
     assert!(stats.mean_throughput_mbps() > 0.3);
 
@@ -82,11 +85,14 @@ fn emulator_applies_stochastic_loss() {
     config.loss = 0.3; // heavy loss so the counter must move
     let emu = Emulator::spawn(config, clock).unwrap();
 
-    let sender = UdpSender::new(
-        SenderConfig::new(emu.ingress_addr(), Duration::from_secs(2)),
+    let mut sender = SupervisedSender::new(
+        SupervisorConfig::new(SenderConfig::new(
+            emu.ingress_addr(),
+            Duration::from_secs(2),
+        )),
         clock,
     );
-    let stats = sender.run(Box::new(VerusCc::default())).unwrap();
+    let stats = sender.run(Box::new(VerusCc::default())).unwrap().stats;
     assert!(emu.dropped() > 0, "no drops despite 30% loss");
     assert!(
         stats.fast_losses + stats.timeouts > 0,
@@ -101,11 +107,14 @@ fn direct_sender_receiver_without_emulator() {
     // Sanity: the sender and receiver interoperate at full loopback speed.
     let clock = WallClock::new();
     let rx = Receiver::spawn("127.0.0.1:0", clock).unwrap();
-    let sender = UdpSender::new(
-        SenderConfig::new(rx.local_addr(), Duration::from_secs(1)),
+    let mut sender = SupervisedSender::new(
+        SupervisorConfig::new(SenderConfig::new(
+            rx.local_addr(),
+            Duration::from_secs(1),
+        )),
         clock,
     );
-    let stats = sender.run(Box::new(VerusCc::default())).unwrap();
+    let stats = sender.run(Box::new(VerusCc::default())).unwrap().stats;
     assert!(stats.acked > 100, "only {} acked", stats.acked);
     // Loopback delay is sub-millisecond.
     assert!(stats.mean_delay_ms() < 50.0);

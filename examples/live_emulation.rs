@@ -8,7 +8,7 @@
 //! Topology (one process, three threads):
 //!
 //! ```text
-//! UdpSender (Verus, 5 ms wall-clock epochs)
+//! SupervisedSender (Verus, 5 ms wall-clock epochs)
 //!     │ UDP
 //!     ▼
 //! Emulator (releases bytes at the trace's delivery opportunities,
@@ -20,7 +20,9 @@
 use std::time::Duration;
 use verus_cellular::{OperatorModel, Scenario};
 use verus_core::{VerusCc, VerusConfig};
-use verus_transport::{Emulator, EmulatorConfig, Receiver, SenderConfig, UdpSender, WallClock};
+use verus_transport::{
+    Emulator, EmulatorConfig, Receiver, SenderConfig, SupervisedSender, SupervisorConfig, WallClock,
+};
 
 fn main() -> std::io::Result<()> {
     let clock = WallClock::new();
@@ -49,12 +51,17 @@ fn main() -> std::io::Result<()> {
     );
 
     // A 10-second Verus transfer through the emulator.
-    let sender = UdpSender::new(
-        SenderConfig::new(emulator.ingress_addr(), Duration::from_secs(10)),
+    let mut sender = SupervisedSender::new(
+        SupervisorConfig::new(SenderConfig::new(
+            emulator.ingress_addr(),
+            Duration::from_secs(10),
+        )),
         clock,
     );
     println!("running Verus (R = 2) for 10 s of wall-clock time…");
-    let stats = sender.run(Box::new(VerusCc::new(VerusConfig::default())))?;
+    let stats = sender
+        .run(Box::new(VerusCc::new(VerusConfig::default())))?
+        .stats;
 
     println!();
     println!("results:");

@@ -31,6 +31,28 @@ rm -f "$check_json"
 cargo test --release -q -p verus-bench --test fault_injection \
   --features verus-netsim/strict-invariants,verus-core/strict-invariants,verus-transport/strict-invariants
 
+# CLI smoke: the sender/receiver binaries end to end on loopback. The
+# receiver binds an ephemeral port and names it on stderr; a 2 s Verus
+# transfer at it must get at least one packet acknowledged.
+recv_log="$(mktemp /tmp/verus_recv.XXXXXX.log)"
+target/release/verus-recv 127.0.0.1:0 --quiet 2> "$recv_log" &
+recv_pid=$!
+trap 'kill "$recv_pid" 2> /dev/null || true' EXIT
+recv_addr=""
+for _ in $(seq 100); do
+  recv_addr="$(sed -n 's/^verus-recv listening on //p' "$recv_log")"
+  [ -n "$recv_addr" ] && break
+  sleep 0.1
+done
+[ -n "$recv_addr" ] || { echo "verus-recv never reported its address:"; cat "$recv_log"; exit 1; }
+send_out="$(target/release/verus-send "$recv_addr" --secs 2)"
+kill "$recv_pid"
+wait "$recv_pid" 2> /dev/null || true
+trap - EXIT
+acked="$(sed -n 's/.*(\([0-9]*\) acked \/ [0-9]* sent).*/\1/p' <<< "$send_out")"
+[ "${acked:-0}" -gt 0 ] || { echo "verus-send got nothing acknowledged:"; echo "$send_out"; exit 1; }
+rm -f "$recv_log"
+
 # Bench smoke: the tracked baseline must run and emit a well-formed
 # record. Written to a scratch path (the committed BENCH_1.json is a
 # reviewed artifact, updated deliberately, not on every CI run); jq

@@ -1,8 +1,8 @@
 //! Chaos soak tests: seeded adversarial schedules on both substrates,
 //! judged against the recovery SLOs of DESIGN.md §12.
 //!
-//! The fault-injection suite (`fault_injection.rs`) proves the *plain*
-//! sender survives impairments; this suite points the same chaos at the
+//! The fault-injection suite (`fault_injection.rs`) proves the sender
+//! survives impairments; this suite points the same chaos at the
 //! session layer and asserts the stronger resilience contract:
 //!
 //! * after every blackout window ends, the system recovers within

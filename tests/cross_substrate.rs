@@ -9,7 +9,9 @@ use verus_cellular::{OperatorModel, Scenario, Trace};
 use verus_core::VerusCc;
 use verus_netsim::queue::QueueConfig;
 use verus_nettypes::SimDuration;
-use verus_transport::{Emulator, EmulatorConfig, Receiver, SenderConfig, UdpSender, WallClock};
+use verus_transport::{
+    Emulator, EmulatorConfig, Receiver, SenderConfig, SupervisedSender, SupervisorConfig, WallClock,
+};
 
 fn shared_trace() -> Trace {
     Scenario::CampusStationary
@@ -34,11 +36,14 @@ fn simulated_and_real_verus_agree_on_throughput_scale() {
     let receiver = Receiver::spawn("127.0.0.1:0", clock).unwrap();
     let emulator =
         Emulator::spawn(EmulatorConfig::new(trace, receiver.local_addr()), clock).unwrap();
-    let sender = UdpSender::new(
-        SenderConfig::new(emulator.ingress_addr(), Duration::from_secs(8)),
+    let mut sender = SupervisedSender::new(
+        SupervisorConfig::new(SenderConfig::new(
+            emulator.ingress_addr(),
+            Duration::from_secs(8),
+        )),
         clock,
     );
-    let real = sender.run(Box::new(VerusCc::default())).unwrap();
+    let real = sender.run(Box::new(VerusCc::default())).unwrap().stats;
     emulator.stop();
     receiver.stop();
 

@@ -11,7 +11,9 @@ use verus_netsim::impairment::{Blackout, ImpairmentConfig, LossModel};
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::{SimDuration, SimTime};
-use verus_transport::{Emulator, EmulatorConfig, Receiver, SenderConfig, UdpSender, WallClock};
+use verus_transport::{
+    Emulator, EmulatorConfig, Receiver, SenderConfig, SupervisedSender, SupervisorConfig, WallClock,
+};
 
 /// Synthetic constant-rate trace: one opportunity per millisecond.
 /// Deterministic (no RNG), loops for the run's lifetime.
@@ -168,11 +170,14 @@ fn transport_soak_survives_blackout_and_joins_threads() {
     };
     let emulator = Emulator::spawn(config, clock).unwrap();
 
-    let sender = UdpSender::new(
-        SenderConfig::new(emulator.ingress_addr(), Duration::from_secs(7)),
+    let mut sender = SupervisedSender::new(
+        SupervisorConfig::new(SenderConfig::new(
+            emulator.ingress_addr(),
+            Duration::from_secs(7),
+        )),
         clock,
     );
-    let stats = sender.run(Box::new(VerusCc::default())).unwrap();
+    let stats = sender.run(Box::new(VerusCc::default())).unwrap().stats;
 
     assert!(stats.acked > 0, "nothing acknowledged");
     assert!(
