@@ -77,7 +77,7 @@ fn capture(out: Option<&str>) {
 }
 
 /// Hand-rolled JSON for the summary artifact (workspace `serde_json` is
-/// an offline stub; same convention as `bench_baseline`).
+/// an offline stub; same convention as `bench_chaos`).
 fn summary_json(tf: &TraceFile, intervals: &[Interval]) -> String {
     let mut s = String::from("{\n");
     let _ = writeln!(s, "  \"schema\": \"verus-trace-report-v0\",");

@@ -287,12 +287,18 @@ impl Trace {
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let ms: u64 = trimmed.parse().map_err(|_| TraceError::Parse {
-                line: i + 1,
-                content: trimmed.to_string(),
-            })?;
+            // A timestamp past the nanosecond clock's range is as
+            // malformed as one that does not parse.
+            let ns = trimmed
+                .parse::<u64>()
+                .ok()
+                .and_then(|ms| ms.checked_mul(1_000_000))
+                .ok_or_else(|| TraceError::Parse {
+                    line: i + 1,
+                    content: trimmed.to_string(),
+                })?;
             opportunities.push(Opportunity {
-                time: SimTime::from_millis(ms),
+                time: SimTime::from_nanos(ns),
                 bytes: MAHIMAHI_MTU,
             });
         }
@@ -453,6 +459,18 @@ mod tests {
     fn mahimahi_rejects_garbage() {
         let err = Trace::load_mahimahi("t", "abc\n".as_bytes()).unwrap_err();
         assert!(matches!(err, TraceError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn mahimahi_rejects_timestamps_past_the_clock_range() {
+        // u64::MAX ns is 18446744073709.55 ms: the next whole millisecond
+        // overflows the nanosecond clock.
+        let text = "5\n18446744073709\n18446744073710\n";
+        let err = Trace::load_mahimahi("t", text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::Parse { line: 3, content } if content == "18446744073710"),
+            "{err}"
+        );
     }
 
     #[test]

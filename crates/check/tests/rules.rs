@@ -553,12 +553,13 @@ fn thread_scope_is_denied_in_every_netsim_file() {
 }
 
 #[test]
-fn loadtest_bench_bin_may_not_spawn_threads() {
-    // The BENCH_4 driver must stay a pure client of `ShardServer` —
-    // all thread-per-core fan-out lives behind the transport API, so
-    // the bench numbers measure the plane, not ad-hoc bin threading.
+fn chaos_bench_bin_may_not_spawn_threads() {
+    // The chaos soak drives the transport plane and must stay a pure
+    // client of its API: the receiver and emulator threads live behind
+    // `Receiver::spawn`/`Emulator::spawn`, so the soak's recovery
+    // figures measure the transport, not ad-hoc bin threading.
     let d = scan(
-        "crates/bench/src/bin/bench_loadtest.rs",
+        "crates/bench/src/bin/bench_chaos.rs",
         "fn f() { std::thread::spawn(|| {}); }\n",
     );
     assert_eq!(rules(&d), ["no-thread-outside-transport"]);

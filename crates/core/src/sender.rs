@@ -466,12 +466,19 @@ impl CongestionControl for VerusCc {
         }
         // Any ACK proves the channel is alive again.
         self.consecutive_timeouts = 0;
-        self.rtt.on_sample(ev.rtt);
         // The prototype computes the packet round-trip delay at the sender
-        // (§4 "Delay Estimator"); that RTT is the profile's y-axis.
+        // (§4 "Delay Estimator"); that RTT is the profile's y-axis. A
+        // zero RTT (an ACK echoing a send time of `now`) is still an ACK
+        // but no delay sample: as a Dmin of 0 it would end slow start on
+        // the next ACK with a set point of 0. (Its zero delay can never
+        // pass the slow-start exit test below.)
         let delay_ms = ev.rtt.as_millis_f64();
         invariants::delay_sample(ev.send_window, delay_ms);
-        self.delay_est.record(now, ev.rtt);
+        let delay_sample = ev.rtt > SimDuration::ZERO;
+        if delay_sample {
+            self.rtt.on_sample(ev.rtt);
+            self.delay_est.record(now, ev.rtt);
+        }
 
         // Profile point updates: always during slow start (initial
         // profile), frozen during recovery (§5.1), and gated by the
@@ -481,7 +488,7 @@ impl CongestionControl for VerusCc {
             Phase::Recovery => !self.config.freeze_profile_in_recovery,
             Phase::CongestionAvoidance => self.config.profile_updates,
         };
-        if update_profile {
+        if delay_sample && update_profile {
             self.profiler.add_sample(now, ev.send_window.max(1.0), delay_ms);
         }
 
@@ -728,6 +735,23 @@ mod tests {
             }
         }
         seq
+    }
+
+    #[test]
+    fn zero_rtt_ack_is_not_a_delay_sample() {
+        // An ACK echoing a send time of `now` once set Dmin to 0; the
+        // next ACK then left slow start with an initial set point of 0
+        // and tripped the finite-positive invariant.
+        let mut cc = VerusCc::default();
+        cc.on_packet_sent(SimTime::ZERO, 0, 1400);
+        cc.on_packet_sent(SimTime::ZERO, 1, 1400);
+        cc.on_ack(SimTime::ZERO, &ack(0, 0.0, 1.0));
+        assert_eq!(cc.window(), 2.0, "a zero-RTT ACK still grows the window");
+        assert_eq!(cc.phase(), Phase::SlowStart);
+        let now = SimTime::from_millis(50);
+        cc.on_ack(now, &ack(1, 50.0, 2.0));
+        assert_eq!(cc.phase(), Phase::SlowStart, "the first real sample is Dmin");
+        assert_eq!(cc.window(), 3.0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! simulation here exercises the runtime invariant on every step.
 
 use verus_baselines::Cubic;
+use verus_cellular::{OperatorModel, Scenario};
 use verus_core::VerusCc;
+use verus_netsim::invariants;
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, FlowReport, SimConfig, Simulation};
 use verus_nettypes::{CongestionControl, SimDuration, SimTime};
@@ -99,4 +101,58 @@ fn clean_link_drops_only_in_slow_start() {
         "every queue drop must be detected as a loss"
     );
     assert!(r.delivered <= r.sent);
+}
+
+/// A 100-flow CUBIC crowd on a RED cell: the LTE model's burst
+/// structure (trace seed 42) with its rate scaled 50×, so packet events
+/// rather than idle timers stay the load, and flow starts 50 ms apart so
+/// the slow-start bursts do not all land on the empty queue at once.
+/// The simulator re-checks every flow's ledger after each event in this
+/// build; the reports must balance at the end as well.
+#[test]
+fn red_cell_crowd_balances_every_ledger() {
+    assert!(
+        invariants::ENABLED,
+        "the per-event ledger asserts must be compiled into this test"
+    );
+    const FLOWS: u64 = 100;
+    let trace = Scenario::CampusStationary
+        .generate_trace(OperatorModel::EtisalatLte, SimDuration::from_secs(10), 42)
+        .expect("trace")
+        .scale_rate(50.0);
+    let config = SimConfig {
+        bottleneck: BottleneckConfig::Cell {
+            trace,
+            base_rtt: SimDuration::from_millis(40),
+            loss: 0.0,
+        },
+        queue: QueueConfig::paper_red(),
+        flows: (0..FLOWS)
+            .map(|i| {
+                FlowConfig::new(Box::new(Cubic::new())).starting_at(SimTime::from_millis(i * 50))
+            })
+            .collect(),
+        duration: SimDuration::from_secs(10),
+        seed: 7,
+        throughput_window: SimDuration::from_secs(1),
+        impairments: Default::default(),
+        abc: None,
+    };
+    let reports = Simulation::new(config)
+        .unwrap()
+        .with_delay_samples(false)
+        .run();
+    assert_eq!(reports.len() as u64, FLOWS, "crowd run lost flows");
+    for r in &reports {
+        assert!(
+            r.ledger_balances(),
+            "flow {} ledger does not balance: {:?}",
+            r.flow,
+            r.trace_counters()
+        );
+    }
+    assert!(
+        reports.iter().map(|r| r.delivered).sum::<u64>() > 0,
+        "crowd run delivered nothing"
+    );
 }

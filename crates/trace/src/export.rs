@@ -1,8 +1,8 @@
 //! JSONL / CSV export and the matching parser.
 //!
 //! The workspace's `serde_json` is an offline stub, so — following the
-//! `verus-bench` convention (`bench_baseline`'s hand-rolled record) —
-//! the exporter formats JSON by hand and the parser is a tiny
+//! `verus-bench` convention (`bench_chaos`'s hand-rolled record) — the
+//! exporter formats JSON by hand and the parser is a tiny
 //! recursive-descent reader for exactly the subset the exporter writes.
 //! Every line is one flat JSON object with a `type` field; key order is
 //! fixed per record type so two traces from different substrates can be

@@ -42,10 +42,11 @@
 //!   can be *measured* as batched-vs-fallback on the same machine.
 //!
 //! Both implementations count syscalls, messages and datagrams
-//! ([`IoCounters`]); syscalls-per-packet is the headline metric
-//! `BENCH_4.json` gates on, and datagrams per message shows how much
-//! was coalesced. Sockets are switched to non-blocking: pacing sleeps
-//! belong to the caller's timer plane, not to read timeouts.
+//! ([`IoCounters`]); datagrams per syscall is the headline figure
+//! (perfbench's `transport.io.pkts_per_syscall`, gated in CI), and
+//! datagrams per message shows how much was coalesced. Sockets are
+//! switched to non-blocking: pacing sleeps belong to the caller's timer
+//! plane, not to read timeouts.
 //!
 //! The FFI module is the only `unsafe` in the workspace; the crate root
 //! is `#![deny(unsafe_code)]` with a scoped `allow` here, and CI's Miri
@@ -143,17 +144,6 @@ impl IoCounters {
             return 0.0;
         }
         self.syscalls() as f64 / pkts as f64
-    }
-
-    /// Datagrams per message across both directions (`NaN`-free: 0
-    /// messages → 0.0). 1.0 means nothing was coalesced.
-    #[must_use]
-    pub fn datagrams_per_message(&self) -> f64 {
-        let msgs = self.sent_msgs + self.recvd_msgs;
-        if msgs == 0 {
-            return 0.0;
-        }
-        self.packets() as f64 / msgs as f64
     }
 
     /// Field-wise sum, for aggregating per-shard counters.
@@ -1224,8 +1214,6 @@ mod tests {
             send_failed: 0,
         };
         assert!((c.syscalls_per_packet() - 4.0 / 128.0).abs() < 1e-12);
-        assert!(IoCounters::default().datagrams_per_message().abs() < 1e-12);
-        assert!((c.datagrams_per_message() - 32.0).abs() < 1e-12);
         let m = c.merged(&c);
         assert_eq!(m.packets(), 256);
         assert_eq!(m.syscalls(), 8);

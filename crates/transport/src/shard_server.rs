@@ -441,12 +441,6 @@ impl LoadReport {
             .fold(IoCounters::default(), |acc, s| acc.merged(&s.io))
     }
 
-    /// Syscalls per packet moved, merged across shards.
-    #[must_use]
-    pub fn syscalls_per_packet(&self) -> f64 {
-        self.io().syscalls_per_packet()
-    }
-
     /// Conservative p99 of epoch-timer lateness (ms) across all shards.
     #[must_use]
     pub fn jitter_p99_ms(&self) -> f64 {
@@ -1194,7 +1188,7 @@ mod tests {
         let io = r.io();
         assert_eq!(io.syscalls(), 20);
         assert_eq!(io.packets(), 400);
-        assert!((r.syscalls_per_packet() - 0.05).abs() < 1e-12);
+        assert!((io.syscalls_per_packet() - 0.05).abs() < 1e-12);
         assert_eq!(r.jitter_p99_ms(), 0.0, "no jitter samples collected");
     }
 

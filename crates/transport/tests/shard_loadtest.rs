@@ -1,9 +1,8 @@
-//! Tier-1 scaled-down load test for the sharded transport plane.
-//!
-//! The full headline run (`bench_loadtest`, BENCH_4) drives 100k+ flows
-//! for tens of seconds; this suite shrinks it to ~1k flows over a local
-//! batched receiver so it finishes in seconds and runs on every commit.
-//! What it pins down is the part that must never regress:
+//! Tier-1 load test for the sharded transport plane: ~1k flows over a
+//! local batched receiver, seconds per run, on every commit. The timing
+//! side of the plane (syscalls per packet, epoch-timer lateness) is
+//! perfbench's `udp_crowd` workload. What this suite pins down is the
+//! part that must never regress:
 //!
 //! - **ledger balance** — every offered sequence ends exactly once in
 //!   the `acked` or `shed` column (`residual() == 0`), on BOTH the
@@ -11,8 +10,9 @@
 //! - **no stuck sessions** — the supervisor-semantics lifecycle closes
 //!   every flow before the server's deadline watchdog has to abort it;
 //! - **deterministic digests** — two runs with the same seed produce
-//!   byte-identical `deterministic_digest()` strings, the property the
-//!   CI jq gate on BENCH_4's deterministic core relies on.
+//!   byte-identical `deterministic_digest()` strings, and the batched
+//!   backend's digest equals the per-packet fallback's: the fallback is
+//!   the batched path's behavioural oracle.
 
 use verus_core::VerusCc;
 use verus_nettypes::{FixedWindow, SimDuration};
@@ -58,6 +58,7 @@ fn run_crowd(
 
 #[test]
 fn thousand_flows_balance_the_ledger_on_both_backends() {
+    let mut digests = Vec::new();
     for mode in [IoMode::Batched, IoMode::PerPacket] {
         let a = run_crowd(mode, 1000, 4, 2, 7, None);
         assert_eq!(a.shards.len(), 2, "one snapshot per shard ({mode:?})");
@@ -75,7 +76,12 @@ fn thousand_flows_balance_the_ledger_on_both_backends() {
             b.deterministic_digest(),
             "digest must be byte-stable across same-seed runs ({mode:?})"
         );
+        digests.push(a.deterministic_digest());
     }
+    assert_eq!(
+        digests[0], digests[1],
+        "the batched and per-packet backends disagree on the deterministic ledger"
+    );
 }
 
 #[test]

@@ -3,11 +3,12 @@
 #
 # The verus-check pass runs after build/test so that compile/test
 # failures surface first; it exits non-zero on any diagnostic, which
-# fails the pipeline. The final job re-runs the fault-injection soak in
-# a release build with the runtime invariant layers compiled in
-# (`strict-invariants` on every crate that has one): optimized-build
-# timing with every conservation/phase assert armed, on a fixed seed so
-# failures reproduce.
+# fails the pipeline. The next job re-runs the fault-injection soak and
+# the netsim conservation tests (among them a 100-flow CUBIC crowd on a
+# RED cell) in a release build with the runtime invariant layers
+# compiled in (`strict-invariants` on every crate that has one):
+# optimized-build timing with every conservation/phase assert armed, on
+# fixed seeds so failures reproduce.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,7 +29,7 @@ jq -e '
 ' "$check_json" > /dev/null || { echo "verus-check --json reported deny-level findings:"; cat "$check_json"; exit 1; }
 rm -f "$check_json"
 
-cargo test --release -q -p verus-bench --test fault_injection \
+cargo test --release -q -p verus-bench -p verus-netsim --test fault_injection --test conservation \
   --features verus-netsim/strict-invariants,verus-core/strict-invariants,verus-transport/strict-invariants
 
 # CLI smoke: the sender/receiver binaries end to end on loopback. The
@@ -52,71 +53,6 @@ trap - EXIT
 acked="$(sed -n 's/.*(\([0-9]*\) acked \/ [0-9]* sent).*/\1/p' <<< "$send_out")"
 [ "${acked:-0}" -gt 0 ] || { echo "verus-send got nothing acknowledged:"; echo "$send_out"; exit 1; }
 rm -f "$recv_log"
-
-# Bench smoke: the tracked baseline must run and emit a well-formed
-# record. Written to a scratch path (the committed BENCH_1.json is a
-# reviewed artifact, updated deliberately, not on every CI run); jq
-# validates the v2 schema — every figure positive, median-of-K with the
-# rep/iteration counts recorded. The trace-overhead ceiling is looser
-# than the reviewed artifact's ~9% reading because a loaded single-CPU
-# CI box cannot measure a few percent reliably; a well-above-double-digit
-# reading still catches an accidentally quadratic hook.
-bench_out="$(mktemp /tmp/bench_baseline.XXXXXX.json)"
-VERUS_BENCH_OUT="$bench_out" cargo run --release -q -p verus-bench --bin bench_baseline
-jq -e '
-  .schema == "verus-bench-baseline-v2"
-  and (.reps >= 5)
-  and (.lookup_old_ns > 0) and (.lookup_old_iters > 0)
-  and (.lookup_new_ns > 0) and (.lookup_new_iters > 0) and (.lookup_speedup > 0)
-  and (.epochs_per_sec > 0) and (.epochs_iters > 0)
-  and (.sim_events > 0) and (.sim_rounds >= 5) and (.events_per_sec > 0)
-  and (.trace_off_events_per_sec > 0) and (.trace_on_events_per_sec > 0)
-  and (.trace_records > 0) and (.trace_overhead_pct < 20)
-' "$bench_out" > /dev/null || { echo "bench_baseline emitted a malformed record:"; cat "$bench_out"; exit 1; }
-rm -f "$bench_out"
-
-# Scale smoke: a 100-flow RED crowd on the timing-wheel core with every
-# conservation assert armed (strict-invariants checks the ledger after
-# every event; the binary re-checks each flow's report-level ledger).
-cargo run --release -q -p verus-bench --bin bench_scale \
-  --features verus-netsim/strict-invariants -- --smoke
-
-# Loadtest smoke: the sharded transport plane (thread-per-core UDP
-# server, batched syscall I/O) on a 1k-flow crowd through the identical
-# two-leg pipeline as the committed BENCH_4.json. The binary itself
-# asserts the exact packet ledger, zero stuck sessions, cross-backend
-# digest equality, and (when the batched leg runs mmsg) the >= 8x
-# syscalls-per-packet ratio. Two smoke runs must agree byte-for-byte on
-# the deterministic core — `measured` holds the wall-clock/syscall
-# readings that legitimately vary and is excluded. jq then gates the
-# schema on both the smoke record and the committed artifact; the
-# epoch-timer p99 jitter budget applies only to records measured on
-# >= 4 cores (on fewer cores the figure measures the OS scheduler,
-# not the timer plane).
-load_out="$(mktemp /tmp/bench_loadtest.XXXXXX.json)"
-load_out2="$(mktemp /tmp/bench_loadtest.XXXXXX.json)"
-VERUS_BENCH_OUT="$load_out" cargo run --release -q -p verus-bench --bin bench_loadtest -- --smoke
-VERUS_BENCH_OUT="$load_out2" cargo run --release -q -p verus-bench --bin bench_loadtest -- --smoke > /dev/null
-diff <(jq -S 'del(.measured)' "$load_out") <(jq -S 'del(.measured)' "$load_out2") \
-  || { echo "loadtest smoke deterministic core is not byte-stable across same-seed runs"; exit 1; }
-load_jq='
-  .schema == "verus-bench-loadtest-v1"
-  and (.ledger.residual == 0) and (.ledger.stuck == 0)
-  and (.ledger.acked == .offered) and (.ledger.closed == .flows)
-  and .gates.ledger_exact and .gates.digests_match_across_backends
-  and (.gates.syscall_ratio_enforced == (.io_backend == "mmsg"))
-  and (if .gates.syscall_ratio_enforced
-       then .measured.syscall_ratio >= .syscall_ratio_floor else true end)
-  and (.gates.jitter_enforced == (.cores >= 4))
-  and (if .gates.jitter_enforced
-       then .measured.batched.jitter_p99_ms <= .jitter_budget_ms else true end)
-  and (.measured.baseline.syscalls > 0) and (.measured.batched.syscalls > 0)
-'
-jq -e "$load_jq and .smoke" "$load_out" > /dev/null \
-  || { echo "loadtest smoke emitted a malformed record or missed a gate:"; cat "$load_out"; exit 1; }
-jq -e "$load_jq and (.smoke | not) and (.flows >= 100000)" BENCH_4.json > /dev/null \
-  || { echo "committed BENCH_4.json malformed or below acceptance"; exit 1; }
-rm -f "$load_out" "$load_out2"
 
 # Chaos smoke: the seeded chaos soak on both substrates with the
 # recovery SLOs armed (the binary itself asserts them and exits
@@ -214,18 +150,32 @@ for workload in verus_single cubic_crowd udp_crowd; do
     || { echo "perfbench $workload failed its correctness checks: $perf_line"; exit 1; }
 done
 
+# Trace-overhead ceiling: the traced pass of verus_single re-runs the
+# flow with a verus-trace recorder attached and reports the wall-time
+# cost against the untraced pass. The ceiling is loose because a loaded
+# 2-core host cannot measure a few percent reliably; a reading well into
+# double digits still catches an accidentally quadratic hook.
+perf_line="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+  --workload verus_single --seed 1 --seconds 3 --trace 1 | tail -n 1)"
+jq -e '.correct and .failed == 0 and .metrics["trace.overhead_pct"].value < 20' <<< "$perf_line" > /dev/null \
+  || { echo "verus_single trace overhead at or above 20 %:"; echo "$perf_line"; exit 1; }
+
 # Coalescing guard: one sendmmsg moves at most 64 messages and one
 # recvmmsg at most 16, so udp_crowd can exceed 64 datagrams per syscall
 # only while UDP segmentation offload (GSO send, GRO receive) coalesces
 # same-destination runs. A reading at or below 64 on the mmsg backend
-# means the plain-datagram fallback has latched on silently.
+# means the plain-datagram fallback has latched on silently. On hosts
+# with at least 4 cores the shard's epoch timers must also fire within
+# 250 ms at p99; on fewer cores that reading measures the OS scheduler,
+# not the timer plane.
 perf_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
   --workload udp_crowd --seed 1 --seconds 1 --trace 1)"
-if head -n 1 <<< "$perf_out" | jq -e '.host.io_backend == "mmsg"' > /dev/null; then
-  tail -n 1 <<< "$perf_out" | jq -e '.correct and .failed == 0
-    and .metrics["transport.io.pkts_per_syscall"].value > 64' > /dev/null \
-    || { echo "udp_crowd is not coalescing datagrams (GSO/GRO):"; tail -n 1 <<< "$perf_out"; exit 1; }
-fi
+backend="$(head -n 1 <<< "$perf_out" | jq -r '.host.io_backend')"
+tail -n 1 <<< "$perf_out" | jq -e --arg backend "$backend" --argjson cores "$(nproc)" '
+  .correct and .failed == 0
+  and ($backend != "mmsg" or .metrics["transport.io.pkts_per_syscall"].value > 64)
+  and ($cores < 4 or .metrics["transport.timer.late_p99_ms"].value <= 250)
+' > /dev/null || { echo "udp_crowd missed its coalescing or timer-lateness gate:"; tail -n 1 <<< "$perf_out"; exit 1; }
 
 # Interleaving models: verus-model (the in-tree loom-style checker)
 # exhaustively explores the transport stop/counter handshakes and the

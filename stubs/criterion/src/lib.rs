@@ -3,9 +3,10 @@
 //! Runs each registered benchmark a configurable (small) number of
 //! samples and prints mean ns/iteration — enough for eyeballing hot
 //! paths in a container with no crates.io access. No statistics engine,
-//! no HTML reports, no warm-up model; the committed benchmark artifacts
-//! (`BENCH_*.json`) come from the hand-rolled `bench_*` binaries, not
-//! from this crate, so nothing downstream consumes these numbers.
+//! no HTML reports, no warm-up model. The repository's benchmark is
+//! `perfbench` (see `BENCHMARK.json`), not this crate; its one user,
+//! verus-bench's `ablations` bench, reports protocol outcomes, and
+//! nothing downstream consumes the timings printed here.
 //!
 //! API subset: `Criterion::{default, sample_size, bench_function,
 //! benchmark_group}`, `Bencher::{iter, iter_batched}`,
