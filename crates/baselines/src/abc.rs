@@ -19,7 +19,6 @@
 //! back to plain AIMD growth so it remains a well-behaved, if
 //! unremarkable, TCP: exactly the paper's incremental-deployment story.
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{AckEvent, CongestionControl, LossEvent, LossKind, SimTime};
 
 /// Initial window, packets.
@@ -28,7 +27,7 @@ const INITIAL_WINDOW: f64 = 2.0;
 const MIN_WINDOW: f64 = 2.0;
 
 /// The ABC sender: window slave to the router's accelerate/brake marks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AbcCc {
     cwnd: f64,
     /// Fractional AIMD accumulator for the unmarked-path fallback.
@@ -71,7 +70,7 @@ impl CongestionControl for AbcCc {
     fn on_packet_sent(&mut self, _now: SimTime, _seq: u64, _bytes: u64) {}
 
     fn on_ack(&mut self, _now: SimTime, ev: &AckEvent) {
-        // Default-constructed state (serde round-trips included) heals
+        // Default-constructed state heals
         // to the initial window on first contact.
         if self.cwnd < MIN_WINDOW {
             self.cwnd = INITIAL_WINDOW;

@@ -18,7 +18,6 @@
 //! growth); the point of C2TCP — and what the tournament measures — is
 //! the delay governor, which is identical regardless of the carrier.
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{AckEvent, CongestionControl, LossEvent, LossKind, SimDuration, SimTime};
 
 /// Initial window, packets.
@@ -31,7 +30,7 @@ const MIN_WINDOW: f64 = 2.0;
 const CUT_FACTOR: f64 = 0.7;
 
 /// C2TCP: a target-delay governor over an AIMD carrier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct C2Tcp {
     /// One-way-delay setpoint the governor defends.
     target: SimDuration,

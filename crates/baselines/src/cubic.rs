@@ -13,7 +13,6 @@
 //! a loss finally occurs, accumulating seconds of "bufferbloat" delay
 //! (Figure 8 shows CUBIC an order of magnitude above Verus in delay).
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{AckEvent, CongestionControl, LossEvent, LossKind, SimTime};
 
 /// CUBIC aggressiveness constant (packets/s³).
@@ -26,7 +25,7 @@ const INITIAL_WINDOW: f64 = 2.0;
 const MIN_WINDOW: f64 = 2.0;
 
 /// TCP CUBIC congestion control.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cubic {
     cwnd: f64,
     ssthresh: f64,

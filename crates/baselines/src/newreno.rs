@@ -13,7 +13,6 @@
 //!   NewReno's partial-ACK behaviour mapped onto the event interface;
 //! * timeout: `ssthresh = cwnd/2`, `cwnd = 1`, back to slow start.
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{AckEvent, CongestionControl, LossEvent, LossKind, SimTime};
 
 /// Initial window (RFC 6928's IW is 10 segments on Linux; classic hosts
@@ -24,7 +23,7 @@ const INITIAL_WINDOW: f64 = 2.0;
 const MIN_WINDOW: f64 = 1.0;
 
 /// TCP NewReno congestion control.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NewReno {
     cwnd: f64,
     ssthresh: f64,

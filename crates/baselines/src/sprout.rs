@@ -33,11 +33,10 @@
 //!   cap falls out of the belief's finite rate range, exactly like the
 //!   original's fixed-size forecast table.
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{AckEvent, CongestionControl, LossEvent, LossKind, SimDuration, SimTime};
 
 /// Tunables of the Sprout model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SproutConfig {
     /// Tick length (20 ms in the original).
     pub tick: SimDuration,
@@ -71,7 +70,7 @@ impl Default for SproutConfig {
 }
 
 /// Sprout congestion control (sendonly variant).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sprout {
     config: SproutConfig,
     /// Belief over the delivery rate, one probability per bin.

@@ -20,7 +20,6 @@
 //! idle after every capacity jump (visible as Vegas' low throughput in
 //! Figure 8).
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{AckEvent, CongestionControl, LossEvent, LossKind, SimDuration, SimTime};
 
 /// Lower queue-occupancy target, packets.
@@ -35,7 +34,7 @@ const INITIAL_WINDOW: f64 = 2.0;
 const MIN_WINDOW: f64 = 2.0;
 
 /// TCP Vegas congestion control.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vegas {
     cwnd: f64,
     base_rtt: Option<SimDuration>,

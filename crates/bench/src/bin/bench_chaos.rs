@@ -36,7 +36,6 @@
 //! runs a shortened schedule with the same schema — CI's chaos-smoke
 //! job jq-validates that record.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 use verus_core::VerusCc;
 use verus_netsim::chaos::{ChaosSchedule, ChaosScript};
@@ -44,6 +43,7 @@ use verus_netsim::impairment::Blackout;
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::{SimDuration, SimTime};
+use verus_trace::json::Json;
 use verus_transport::{
     Emulator, EmulatorConfig, Receiver, SenderConfig, SessionConfig, SessionState,
     SupervisedSender, SupervisorConfig, WallClock,
@@ -290,51 +290,43 @@ fn main() {
     assert!(tr.final_state_closed, "session stuck: did not drain to Closed");
     assert!(tr.ledger_consistent, "transport shed accounting inconsistent");
 
-    let mut recoveries_json = String::new();
-    for (i, ms) in sim.recoveries_ms.iter().enumerate() {
-        let _ = write!(recoveries_json, "{}{ms:.1}", if i == 0 { "" } else { ", " });
-    }
-    let json = format!(
-        "{{\n  \"schema\": \"verus-chaos-soak-v1\",\n  \
-         \"seed\": {SEED},\n  \
-         \"smoke\": {smoke},\n  \
-         \"backoff_cap_ms\": {:.0},\n  \
-         \"slo_budget_ms\": {:.0},\n  \
-         \"sim\": {{\n    \
-         \"duration_secs\": {:.0},\n    \
-         \"blackouts\": {},\n    \
-         \"recoveries_ms\": [{recoveries_json}],\n    \
-         \"recovery_p99_ms\": {sim_p99:.1},\n    \
-         \"slo_met\": {sim_slo},\n    \
-         \"ledger_balanced\": {},\n    \
-         \"delivered\": {},\n    \
-         \"shed_dropped\": {},\n    \
-         \"timeouts\": {}\n  }},\n  \
-         \"transport\": {{\n    \
-         \"duration_secs\": {:.0},\n    \
-         \"blackouts\": {},\n    \
-         \"reached_established\": {},\n    \
-         \"recovered_after_every_blackout\": {},\n    \
-         \"recovery_p99_within_slo\": {},\n    \
-         \"final_state_closed\": {},\n    \
-         \"ledger_consistent\": {}\n  }}\n}}",
-        BACKOFF_CAP.as_millis_f64(),
-        SLO_BUDGET.as_millis_f64(),
-        sim_dur.as_secs_f64(),
-        sim.blackouts,
-        sim.ledger_balanced,
-        sim.delivered,
-        sim.shed_dropped,
-        sim.timeouts,
-        tr_dur.as_secs_f64(),
-        tr.blackouts,
-        tr.reached_established,
-        tr.recovered_after_every_blackout,
-        tr.recovery_p99_within_slo,
-        tr.final_state_closed,
-        tr.ledger_consistent,
-    );
+    let json = Json::object()
+        .field("schema", "verus-chaos-soak-v1")
+        .field("seed", SEED)
+        .field("smoke", smoke)
+        .field("backoff_cap_ms", Json::fixed(BACKOFF_CAP.as_millis_f64(), 0))
+        .field("slo_budget_ms", Json::fixed(SLO_BUDGET.as_millis_f64(), 0))
+        .field(
+            "sim",
+            Json::object()
+                .field("duration_secs", Json::fixed(sim_dur.as_secs_f64(), 0))
+                .field("blackouts", sim.blackouts)
+                .field(
+                    "recoveries_ms",
+                    sim.recoveries_ms
+                        .iter()
+                        .map(|&ms| Json::fixed(ms, 1))
+                        .collect::<Json>(),
+                )
+                .field("recovery_p99_ms", Json::fixed(sim_p99, 1))
+                .field("slo_met", sim_slo)
+                .field("ledger_balanced", sim.ledger_balanced)
+                .field("delivered", sim.delivered)
+                .field("shed_dropped", sim.shed_dropped)
+                .field("timeouts", sim.timeouts),
+        )
+        .field(
+            "transport",
+            Json::object()
+                .field("duration_secs", Json::fixed(tr_dur.as_secs_f64(), 0))
+                .field("blackouts", tr.blackouts)
+                .field("reached_established", tr.reached_established)
+                .field("recovered_after_every_blackout", tr.recovered_after_every_blackout)
+                .field("recovery_p99_within_slo", tr.recovery_p99_within_slo)
+                .field("final_state_closed", tr.final_state_closed)
+                .field("ledger_consistent", tr.ledger_consistent),
+        );
     let path = std::env::var("VERUS_BENCH_OUT").unwrap_or_else(|_| "CHAOS_0.json".into());
-    std::fs::write(&path, json + "\n").expect("write chaos record");
+    std::fs::write(&path, json.pretty() + "\n").expect("write chaos record");
     println!("→ wrote {path}");
 }

@@ -30,11 +30,9 @@
 //!   timing-wheel scheduler.
 //!
 //! Output: `TOURNAMENT_0.json` (override with `VERUS_BENCH_OUT`),
-//! hand-rolled with fixed-precision floats so same-seed runs are
-//! byte-identical. `--smoke` runs 3 scenarios at 8 s with the same
+//! with fixed-precision floats so same-seed runs are byte-identical. `--smoke` runs 3 scenarios at 8 s with the same
 //! schema for CI.
 
-use std::fmt::Write as _;
 use verus_bench::cc_by_name;
 use verus_cellular::{OperatorModel, Scenario, StressScenario, Trace};
 use verus_netsim::chaos::ChaosSchedule;
@@ -43,6 +41,7 @@ use verus_netsim::{AbcConfig, BottleneckConfig, FlowConfig, FlowReport, SimConfi
 use verus_nettypes::{CongestionControl, SimDuration};
 use verus_oracle::{OracleCc, SchedulePlan};
 use verus_stats::{regret, utility, DEFAULT_DELTA};
+use verus_trace::json::Json;
 
 const SEED: u64 = 7;
 const BASE_RTT: SimDuration = SimDuration::from_millis(40);
@@ -201,16 +200,8 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"schema\": \"verus-tournament-v1\",\n  \"smoke\": {smoke},\n  \
-         \"seed\": {SEED},\n  \"duration_secs\": {},\n  \"delta\": {DEFAULT_DELTA:.1},\n  \
-         \"protocols\": {},\n  \"scenarios\": [",
-        duration.as_secs_f64(),
-        PROTOCOLS.len(),
-    );
-    for (si, spec) in specs.iter().enumerate() {
+    let mut scenarios = Vec::new();
+    for spec in &specs {
         // The oracle defines the scenario's optimal utility; everyone
         // else is scored against it.
         let optimal = run_cell("oracle", spec, duration);
@@ -218,18 +209,9 @@ fn main() {
             "  {:<24} optimal: {:.3} Mbit/s, p95 {:.1} ms, utility {:.4}",
             spec.name, optimal.throughput_mbps, optimal.p95_delay_ms, optimal.utility
         );
-        let _ = write!(
-            json,
-            "{}\n    {{\n      \"name\": \"{}\",\n      \"kind\": \"{}\",\n      \
-             \"flows\": {},\n      \"optimal_utility\": {:.6},\n      \"cells\": [",
-            if si == 0 { "" } else { "," },
-            spec.name,
-            spec.kind,
-            spec.flows,
-            optimal.utility,
-        );
-        for (pi, protocol) in PROTOCOLS.iter().enumerate() {
-            let cell = if *protocol == "oracle" {
+        let mut cells = Vec::new();
+        for protocol in PROTOCOLS {
+            let cell = if protocol == "oracle" {
                 // Reuse the measured optimum — same config, same seed,
                 // rerunning it would only burn time to get the same
                 // bytes. Regret is 1 − u/u by definition: exactly 0.
@@ -242,25 +224,35 @@ fn main() {
                 "    {:<8} {:>7.3} Mbit/s  p95 {:>8.1} ms  regret {:.4}",
                 protocol, cell.throughput_mbps, cell.p95_delay_ms, reg
             );
-            let _ = write!(
-                json,
-                "{}\n        {{\"protocol\": \"{}\", \"throughput_mbps\": {:.4}, \
-                 \"p95_delay_ms\": {:.3}, \"delivered\": {}, \"utility\": {:.6}, \
-                 \"regret\": {:.6}}}",
-                if pi == 0 { "" } else { "," },
-                protocol,
-                cell.throughput_mbps,
-                cell.p95_delay_ms,
-                cell.delivered,
-                cell.utility,
-                reg,
+            cells.push(
+                Json::object()
+                    .field("protocol", protocol)
+                    .field("throughput_mbps", Json::fixed(cell.throughput_mbps, 4))
+                    .field("p95_delay_ms", Json::fixed(cell.p95_delay_ms, 3))
+                    .field("delivered", cell.delivered)
+                    .field("utility", Json::fixed(cell.utility, 6))
+                    .field("regret", Json::fixed(reg, 6)),
             );
         }
-        let _ = write!(json, "\n      ]\n    }}");
+        scenarios.push(
+            Json::object()
+                .field("name", spec.name)
+                .field("kind", spec.kind)
+                .field("flows", spec.flows)
+                .field("optimal_utility", Json::fixed(optimal.utility, 6))
+                .field("cells", cells),
+        );
     }
-    let _ = write!(json, "\n  ]\n}}");
+    let json = Json::object()
+        .field("schema", "verus-tournament-v1")
+        .field("smoke", smoke)
+        .field("seed", SEED)
+        .field("duration_secs", duration.as_secs_f64())
+        .field("delta", Json::fixed(DEFAULT_DELTA, 1))
+        .field("protocols", PROTOCOLS.len())
+        .field("scenarios", scenarios);
 
     let path = std::env::var("VERUS_BENCH_OUT").unwrap_or_else(|_| "TOURNAMENT_0.json".into());
-    std::fs::write(&path, json + "\n").expect("write tournament record");
+    std::fs::write(&path, json.pretty() + "\n").expect("write tournament record");
     println!("→ wrote {path}");
 }

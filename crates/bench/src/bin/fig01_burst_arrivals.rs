@@ -9,21 +9,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
-use verus_bench::{guard_finite, print_table, write_json};
+use verus_bench::{guard_finite, print_table, summary_json, write_json};
 use verus_cellular::fading::{FadingConfig, LinkBudget};
 use verus_cellular::scheduler::{run_cell, CellConfig, Demand, UserConfig};
 use verus_nettypes::SimDuration;
 use verus_stats::Summary;
-
-#[derive(Serialize)]
-struct Fig1 {
-    /// `(time s, delay ms)` for the zoom window.
-    series: Vec<(f64, f64)>,
-    window_start_s: f64,
-    window_end_s: f64,
-    delay_summary: Summary,
-}
+use verus_trace::json::Json;
 
 fn main() {
     // Peak 40 Mbit/s ⇒ ≈ 21 Mbit/s typical at the stationary SNR: the
@@ -94,11 +85,10 @@ fn main() {
 
     write_json(
         "fig01_burst_arrivals",
-        &Fig1 {
-            series,
-            window_start_s: lo,
-            window_end_s: hi,
-            delay_summary: summary,
-        },
+        &Json::object()
+            .field("series", series) // (time s, delay ms) in the zoom window
+            .field("window_start_s", lo)
+            .field("window_end_s", hi)
+            .field("delay_summary", summary_json(&summary)),
     );
 }

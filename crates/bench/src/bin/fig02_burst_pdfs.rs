@@ -11,24 +11,18 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
-use verus_bench::{guard_finite, print_table, write_json};
-use verus_cellular::burst::{burst_stats, detect_bursts, BurstStats};
+use verus_bench::{guard_finite, print_table, summary_json, write_json};
+use verus_cellular::burst::{burst_stats, detect_bursts};
 use verus_cellular::fading::FadingConfig;
 use verus_cellular::scheduler::{run_cell, CellConfig, Demand, UserConfig};
 use verus_cellular::OperatorModel;
 use verus_nettypes::{SimDuration, SimTime};
-
-#[derive(Serialize)]
-struct Fig2Entry {
-    operator: String,
-    probe_rate_mbps: f64,
-    stats: BurstStats,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let duration = SimDuration::from_secs(300); // the paper's 5 minutes
     let mut entries = Vec::new();
+    let mut checks = Vec::new();
     let mut rows = Vec::new();
 
     for (i, op) in OperatorModel::all().into_iter().enumerate() {
@@ -89,11 +83,22 @@ fn main() {
             format!("{:.1}", stats.inter_arrival_ms.p95),
             format!("{:.0}", stats.inter_arrival_ms.max),
         ]);
-        entries.push(Fig2Entry {
-            operator: op.name().to_string(),
-            probe_rate_mbps: probe_mbps,
-            stats,
-        });
+        checks.push(("burst size mean", stats.size_bytes.mean));
+        checks.push(("burst gap mean", stats.inter_arrival_ms.mean));
+        entries.push(
+            Json::object()
+                .field("operator", op.name())
+                .field("probe_rate_mbps", probe_mbps)
+                .field(
+                    "stats",
+                    Json::object()
+                        .field("count", stats.count)
+                        .field("size_bytes", summary_json(&stats.size_bytes))
+                        .field("inter_arrival_ms", summary_json(&stats.inter_arrival_ms))
+                        .field("size_pmf", stats.size_pmf)
+                        .field("inter_arrival_pmf", stats.inter_arrival_pmf),
+                ),
+        );
     }
 
     println!("Figure 2 — burst statistics, 5-minute CBR-probe downlink traces");
@@ -119,16 +124,7 @@ fn main() {
     println!("shorter inter-arrival gaps than the corresponding 3G rows, and both");
     println!("size and gap distributions span multiple decades.");
 
-    let checks: Vec<(&str, f64)> = entries
-        .iter()
-        .flat_map(|e| {
-            [
-                ("burst size mean", e.stats.size_bytes.mean),
-                ("burst gap mean", e.stats.inter_arrival_ms.mean),
-            ]
-        })
-        .collect();
     guard_finite("fig02_burst_pdfs", &checks);
 
-    write_json("fig02_burst_pdfs", &entries);
+    write_json("fig02_burst_pdfs", &Json::Arr(entries));
 }

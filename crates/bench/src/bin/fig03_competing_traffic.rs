@@ -9,22 +9,16 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json};
 use verus_cellular::fading::{FadingConfig, LinkBudget};
 use verus_cellular::scheduler::{run_cell, CellConfig, Demand, UserConfig};
 use verus_nettypes::SimDuration;
-
-#[derive(Serialize)]
-struct Fig3Row {
-    user1_rate_mbps: f64,
-    delay_off_ms: f64,
-    delay_on_ms: f64,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let minute = SimDuration::from_secs(60);
     let mut rows_out = Vec::new();
+    let mut checks = Vec::new();
     let mut table = Vec::new();
 
     for (i, rate_mbps) in [1.0, 5.0, 10.0].into_iter().enumerate() {
@@ -69,18 +63,21 @@ fn main() {
         // sit at realistic absolute values.
         const CORE_MS: f64 = 20.0;
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64 + CORE_MS;
-        let row = Fig3Row {
-            user1_rate_mbps: rate_mbps,
-            delay_off_ms: mean(&off),
-            delay_on_ms: mean(&on),
-        };
+        let (delay_off_ms, delay_on_ms) = (mean(&off), mean(&on));
         table.push(vec![
             format!("User 1 @ {rate_mbps} Mbit/s"),
-            format!("{:.1}", row.delay_off_ms),
-            format!("{:.1}", row.delay_on_ms),
-            format!("{:.1}x", row.delay_on_ms / row.delay_off_ms.max(1e-9)),
+            format!("{delay_off_ms:.1}"),
+            format!("{delay_on_ms:.1}"),
+            format!("{:.1}x", delay_on_ms / delay_off_ms.max(1e-9)),
         ]);
-        rows_out.push(row);
+        checks.push(("delay OFF", delay_off_ms));
+        checks.push(("delay ON", delay_on_ms));
+        rows_out.push(
+            Json::object()
+                .field("user1_rate_mbps", rate_mbps)
+                .field("delay_off_ms", delay_off_ms)
+                .field("delay_on_ms", delay_on_ms),
+        );
     }
 
     println!("Figure 3 — user 1 mean packet delay vs user 2 (10 Mbit/s) ON/OFF, 3G downlink");
@@ -93,11 +90,7 @@ fn main() {
     println!("paper shape: delay inflation grows with user 1's rate and explodes");
     println!("when the combined rate (user1 + 10) approaches the cell capacity.");
 
-    let checks: Vec<(&str, f64)> = rows_out
-        .iter()
-        .flat_map(|r| [("delay OFF", r.delay_off_ms), ("delay ON", r.delay_on_ms)])
-        .collect();
     guard_finite("fig03_competing_traffic", &checks);
 
-    write_json("fig03_competing_traffic", &rows_out);
+    write_json("fig03_competing_traffic", &Json::Arr(rows_out));
 }

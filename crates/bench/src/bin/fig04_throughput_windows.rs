@@ -6,22 +6,15 @@
 //! (campus parking lot), minute 2–3 of the trace shown. The shape:
 //! dramatic window-to-window fluctuations, worse at 20 ms than 100 ms.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_nettypes::SimDuration;
+use verus_trace::json::Json;
 
-#[derive(Serialize)]
-struct WindowSeries {
-    window_ms: u64,
-    /// `(time s, kbit/s)` over minute 2–3.
-    series: Vec<(f64, f64)>,
-    mean_kbps: f64,
-    std_kbps: f64,
-    cov: f64,
-}
-
-fn series_for(trace: &verus_cellular::Trace, window_ms: u64) -> WindowSeries {
+/// One window size over minute 2–3: its JSON record (with the
+/// `(time s, kbit/s)` series) and its mean, standard deviation and
+/// coefficient of variation.
+fn series_for(trace: &verus_cellular::Trace, window_ms: u64) -> (Json, f64, f64, f64) {
     let series: Vec<(f64, f64)> = trace
         .windowed_rate_bps(SimDuration::from_millis(window_ms))
         .into_iter()
@@ -35,13 +28,14 @@ fn series_for(trace: &verus_cellular::Trace, window_ms: u64) -> WindowSeries {
         .map(|&(_, v)| (v - mean) * (v - mean))
         .sum::<f64>()
         / n;
-    WindowSeries {
-        window_ms,
-        series,
-        mean_kbps: mean,
-        std_kbps: var.sqrt(),
-        cov: var.sqrt() / mean.max(1e-9),
-    }
+    let (std, cov) = (var.sqrt(), var.sqrt() / mean.max(1e-9));
+    let json = Json::object()
+        .field("window_ms", window_ms)
+        .field("series", series)
+        .field("mean_kbps", mean)
+        .field("std_kbps", std)
+        .field("cov", cov);
+    (json, mean, std, cov)
 }
 
 fn main() {
@@ -50,23 +44,23 @@ fn main() {
         .generate_trace(OperatorModel::Etisalat3G, SimDuration::from_secs(200), 400)
         .expect("trace generation");
 
-    let w100 = series_for(&trace, 100);
-    let w20 = series_for(&trace, 20);
+    let (w100, mean100, std100, cov100) = series_for(&trace, 100);
+    let (w20, mean20, std20, cov20) = series_for(&trace, 20);
 
     println!("Figure 4 — received throughput in fixed windows, 3G stationary downlink");
     println!();
     let rows = vec![
         vec![
             "100 ms".into(),
-            format!("{:.0}", w100.mean_kbps),
-            format!("{:.0}", w100.std_kbps),
-            format!("{:.2}", w100.cov),
+            format!("{mean100:.0}"),
+            format!("{std100:.0}"),
+            format!("{cov100:.2}"),
         ],
         vec![
             "20 ms".into(),
-            format!("{:.0}", w20.mean_kbps),
-            format!("{:.0}", w20.std_kbps),
-            format!("{:.2}", w20.cov),
+            format!("{mean20:.0}"),
+            format!("{std20:.0}"),
+            format!("{cov20:.2}"),
         ],
     ];
     print_table(
@@ -81,12 +75,12 @@ fn main() {
     guard_finite(
         "fig04_throughput_windows",
         &[
-            ("100 ms mean", w100.mean_kbps),
-            ("100 ms cov", w100.cov),
-            ("20 ms mean", w20.mean_kbps),
-            ("20 ms cov", w20.cov),
+            ("100 ms mean", mean100),
+            ("100 ms cov", cov100),
+            ("20 ms mean", mean20),
+            ("20 ms cov", cov20),
         ],
     );
 
-    write_json("fig04_throughput_windows", &vec![w100, w20]);
+    write_json("fig04_throughput_windows", &Json::Arr(vec![w100, w20]));
 }

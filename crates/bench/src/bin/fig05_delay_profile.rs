@@ -5,24 +5,13 @@
 //! Setup: one Verus flow over a 3G cellular trace for 30 s; the profile
 //! is sampled at the end of the run.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_core::VerusCc;
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::SimDuration;
-
-#[derive(Serialize, Default)]
-struct Fig5 {
-    /// Recorded profile points `(window, delay ms)` — the green dots.
-    points: Vec<(f64, f64)>,
-    /// Interpolated curve samples — the red line.
-    curve: Vec<(f64, f64)>,
-    /// The current delay set point and its inverse lookup.
-    dest_ms: f64,
-    window_at_dest: f64,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let trace = Scenario::CampusStationary
@@ -43,7 +32,12 @@ fn main() {
         abc: None,
     };
 
-    let mut snapshot = Fig5::default();
+    // Recorded profile points `(window, delay ms)` (the green dots), the
+    // interpolated curve samples (the red line), and the current delay
+    // set point with its inverse lookup.
+    let mut points: Vec<(f64, f64)> = Vec::new();
+    let mut curve: Vec<(f64, f64)> = Vec::new();
+    let (mut dest_ms, mut window_at_dest) = (0.0, 0.0);
     let _ = Simulation::new(config).unwrap().run_observed(
         SimDuration::from_secs(29),
         |_, ccs| {
@@ -51,11 +45,11 @@ fn main() {
                 .as_any()
                 .downcast_ref::<VerusCc>()
                 .expect("flow 0 is Verus");
-            snapshot.points = verus.profiler().points();
-            snapshot.curve = verus.profiler().curve_samples(60);
+            points = verus.profiler().points();
+            curve = verus.profiler().curve_samples(60);
             if let Some(dest) = verus.dest_ms() {
-                snapshot.dest_ms = dest;
-                snapshot.window_at_dest = verus
+                dest_ms = dest;
+                window_at_dest = verus
                     .profiler()
                     .lookup_window(dest, 2.0, 20_000.0)
                     .unwrap_or(0.0);
@@ -65,8 +59,7 @@ fn main() {
 
     println!("Figure 5 — Verus delay profile after 30 s on a 3G trace");
     println!();
-    let rows: Vec<Vec<String>> = snapshot
-        .curve
+    let rows: Vec<Vec<String>> = curve
         .iter()
         .step_by(3)
         .map(|(w, d)| vec![format!("{w:.0}"), format!("{d:.1}")])
@@ -75,9 +68,9 @@ fn main() {
     println!();
     println!(
         "{} recorded points; current Dest = {:.1} ms → W = {:.1} packets",
-        snapshot.points.len(),
-        snapshot.dest_ms,
-        snapshot.window_at_dest
+        points.len(),
+        dest_ms,
+        window_at_dest
     );
     println!("paper shape: delay grows monotonically with the sending window, with");
     println!("curvature set by the channel's queueing response (compare Figure 5).");
@@ -85,18 +78,19 @@ fn main() {
     guard_finite(
         "fig05_delay_profile",
         &[
-            ("Dest", snapshot.dest_ms),
-            ("window at Dest", snapshot.window_at_dest),
-            (
-                "curve sum",
-                snapshot.curve.iter().map(|&(_, d)| d).sum::<f64>(),
-            ),
-            (
-                "points sum",
-                snapshot.points.iter().map(|&(_, d)| d).sum::<f64>(),
-            ),
+            ("Dest", dest_ms),
+            ("window at Dest", window_at_dest),
+            ("curve sum", curve.iter().map(|&(_, d)| d).sum::<f64>()),
+            ("points sum", points.iter().map(|&(_, d)| d).sum::<f64>()),
         ],
     );
 
-    write_json("fig05_delay_profile", &snapshot);
+    write_json(
+        "fig05_delay_profile",
+        &Json::object()
+            .field("points", points)
+            .field("curve", curve)
+            .field("dest_ms", dest_ms)
+            .field("window_at_dest", window_at_dest),
+    );
 }

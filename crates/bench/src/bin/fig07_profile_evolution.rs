@@ -6,27 +6,19 @@
 //! profile curve is snapshotted every 5 s (the paper plots every fifth
 //! 1-second re-interpolation).
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_core::VerusCc;
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::SimDuration;
+use verus_trace::json::Json;
 
-#[derive(Serialize)]
+/// One 5-second snapshot of the profile curve.
 struct Snapshot {
     t_s: f64,
     curve: Vec<(f64, f64)>,
     channel_mbps_last_5s: f64,
-}
-
-#[derive(Serialize)]
-struct Fig7 {
-    /// (a): channel capacity per second, Mbit/s.
-    channel_series: Vec<(f64, f64)>,
-    /// (b): profile curve snapshots.
-    snapshots: Vec<Snapshot>,
 }
 
 fn main() {
@@ -147,11 +139,22 @@ fn main() {
         ],
     );
 
+    // (a) the channel capacity per second in Mbit/s; (b) the profile
+    // curve snapshots; and the steepness correlation printed above.
+    let snapshots: Json = snapshots
+        .into_iter()
+        .map(|s| {
+            Json::object()
+                .field("t_s", s.t_s)
+                .field("curve", s.curve)
+                .field("channel_mbps_last_5s", s.channel_mbps_last_5s)
+        })
+        .collect();
     write_json(
         "fig07_profile_evolution",
-        &Fig7 {
-            channel_series,
-            snapshots,
-        },
+        &Json::object()
+            .field("channel_series", channel_series)
+            .field("snapshots", snapshots)
+            .field("corr_channel_vs_d40", corr),
     );
 }

@@ -12,20 +12,11 @@
 //! * Verus' throughput comparable to (or above) Cubic's;
 //! * Verus vs Sprout: slightly higher throughput, slightly higher delay.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json, CellExperiment, ProtocolSpec};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_netsim::queue::QueueConfig;
 use verus_nettypes::SimDuration;
-
-#[derive(Serialize)]
-struct Fig8Point {
-    tech: String,
-    protocol: String,
-    flow_points: Vec<(f64, f64)>,
-    mean_mbps: f64,
-    mean_delay_ms: f64,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let protocols = [
@@ -35,6 +26,7 @@ fn main() {
         ProtocolSpec::baseline("sprout"),
     ];
     let mut out = Vec::new();
+    let mut checks = Vec::new();
 
     for (tech, op) in [("3G", OperatorModel::Etisalat3G), ("LTE", OperatorModel::EtisalatLte)] {
         println!("== {tech} ==");
@@ -69,13 +61,16 @@ fn main() {
                 format!("{mean_mbps:.2}"),
                 format!("{:.3}", mean_delay / 1000.0),
             ]);
-            out.push(Fig8Point {
-                tech: tech.into(),
-                protocol: spec.label(),
-                flow_points: points,
-                mean_mbps,
-                mean_delay_ms: mean_delay,
-            });
+            checks.push(("mean throughput", mean_mbps));
+            checks.push(("mean delay", mean_delay));
+            out.push(
+                Json::object()
+                    .field("tech", tech)
+                    .field("protocol", spec.label())
+                    .field("flow_points", points)
+                    .field("mean_mbps", mean_mbps)
+                    .field("mean_delay_ms", mean_delay),
+            );
         }
         print_table(&["protocol", "throughput (Mbit/s)", "delay (s)"], &rows);
         println!();
@@ -84,10 +79,6 @@ fn main() {
     println!("paper shape: Verus delay ≈ an order of magnitude below Cubic/Vegas at");
     println!("comparable (or higher) throughput; Verus vs Sprout trades slightly");
     println!("higher throughput for slightly higher delay.");
-    let checks: Vec<(&str, f64)> = out
-        .iter()
-        .flat_map(|p| [("mean throughput", p.mean_mbps), ("mean delay", p.mean_delay_ms)])
-        .collect();
     guard_finite("fig08_macro_3g_lte", &checks);
-    write_json("fig08_macro_3g_lte", &out);
+    write_json("fig08_macro_3g_lte", &Json::Arr(out));
 }

@@ -4,23 +4,15 @@
 //! Same harness as Figure 8; the shape to reproduce is a monotone
 //! frontier: larger R ⇒ more throughput and more delay.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json, CellExperiment, ProtocolSpec};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_netsim::queue::QueueConfig;
 use verus_nettypes::SimDuration;
-
-#[derive(Serialize)]
-struct Fig9Point {
-    tech: String,
-    r: f64,
-    mean_mbps: f64,
-    mean_delay_ms: f64,
-    flow_points: Vec<(f64, f64)>,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let mut out = Vec::new();
+    let mut checks = Vec::new();
     for (tech, op) in [("3G", OperatorModel::Etisalat3G), ("LTE", OperatorModel::EtisalatLte)] {
         println!("== {tech} ==");
         let mut rows = Vec::new();
@@ -57,23 +49,22 @@ fn main() {
                 format!("{mean_mbps:.2}"),
                 format!("{:.1}", mean_delay),
             ]);
-            out.push(Fig9Point {
-                tech: tech.into(),
-                r,
-                mean_mbps,
-                mean_delay_ms: mean_delay,
-                flow_points: points,
-            });
+            checks.push(("mean throughput", mean_mbps));
+            checks.push(("mean delay", mean_delay));
+            out.push(
+                Json::object()
+                    .field("tech", tech)
+                    .field("r", r)
+                    .field("mean_mbps", mean_mbps)
+                    .field("mean_delay_ms", mean_delay)
+                    .field("flow_points", points),
+            );
         }
         print_table(&["setting", "throughput (Mbit/s)", "delay (ms)"], &rows);
         println!();
     }
     println!("paper shape: R = 2 → lowest delay & throughput; R = 6 → highest of");
     println!("both; R = 4 in between (a monotone trade-off frontier).");
-    let checks: Vec<(&str, f64)> = out
-        .iter()
-        .flat_map(|p| [("mean throughput", p.mean_mbps), ("mean delay", p.mean_delay_ms)])
-        .collect();
     guard_finite("fig09_r_tradeoff", &checks);
-    write_json("fig09_r_tradeoff", &out);
+    write_json("fig09_r_tradeoff", &Json::Arr(out));
 }

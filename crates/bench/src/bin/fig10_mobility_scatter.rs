@@ -10,21 +10,10 @@
 //! TCPs in delay at comparable throughput; mobility widens the TCPs'
 //! throughput spread across flows far more than Verus'.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json, CellExperiment, ProtocolSpec};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_nettypes::SimDuration;
-
-#[derive(Serialize)]
-struct Fig10Panel {
-    scenario: String,
-    protocol: String,
-    /// Per-flow `(throughput Mbit/s, delay ms)` scatter points.
-    points: Vec<(f64, f64)>,
-    mean_mbps: f64,
-    std_mbps: f64,
-    mean_delay_ms: f64,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let scenarios = [
@@ -40,6 +29,7 @@ fn main() {
         ProtocolSpec::verus(6.0),
     ];
     let mut out = Vec::new();
+    let mut checks = Vec::new();
 
     for (si, scenario) in scenarios.into_iter().enumerate() {
         println!("== {} ==", scenario.name());
@@ -77,14 +67,18 @@ fn main() {
                 format!("{:.3}", var_mbps.sqrt()),
                 format!("{mean_delay:.1}"),
             ]);
-            out.push(Fig10Panel {
-                scenario: scenario.name().into(),
-                protocol: spec.label(),
-                points,
-                mean_mbps,
-                std_mbps: var_mbps.sqrt(),
-                mean_delay_ms: mean_delay,
-            });
+            checks.push(("mean throughput", mean_mbps));
+            checks.push(("throughput std", var_mbps.sqrt()));
+            checks.push(("mean delay", mean_delay));
+            out.push(
+                Json::object()
+                    .field("scenario", scenario.name())
+                    .field("protocol", spec.label())
+                    .field("points", points) // per-flow (throughput Mbit/s, delay ms)
+                    .field("mean_mbps", mean_mbps)
+                    .field("std_mbps", var_mbps.sqrt())
+                    .field("mean_delay_ms", mean_delay),
+            );
         }
         print_table(
             &[
@@ -100,16 +94,6 @@ fn main() {
     println!("paper shape: Verus (R=2) delay an order of magnitude below the TCPs;");
     println!("higher R buys throughput for delay; under mobility the TCPs' per-flow");
     println!("throughput spread widens while Verus' stays small.");
-    let checks: Vec<(&str, f64)> = out
-        .iter()
-        .flat_map(|p| {
-            [
-                ("mean throughput", p.mean_mbps),
-                ("throughput std", p.std_mbps),
-                ("mean delay", p.mean_delay_ms),
-            ]
-        })
-        .collect();
     guard_finite("fig10_mobility_scatter", &checks);
-    write_json("fig10_mobility_scatter", &out);
+    write_json("fig10_mobility_scatter", &Json::Arr(out));
 }

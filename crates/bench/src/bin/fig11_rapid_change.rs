@@ -21,11 +21,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use verus_bench::{cc_by_name, guard_finite, print_table, write_json};
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FixedParams, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::{SimDuration, SimTime};
+use verus_trace::json::Json;
 
 const DURATION_S: u64 = 500;
 
@@ -47,7 +47,6 @@ fn schedule(lo_mbps: f64, hi_mbps: f64, seed: u64) -> Vec<(SimTime, FixedParams)
         .collect()
 }
 
-#[derive(Serialize)]
 struct ProtocolRun {
     protocol: String,
     mean_mbps: f64,
@@ -56,11 +55,16 @@ struct ProtocolRun {
     series: Vec<(f64, f64)>,
 }
 
-#[derive(Serialize)]
-struct Fig11 {
-    capacity_series: Vec<(f64, f64)>,
-    scenario1: Vec<ProtocolRun>,
-    scenario2: Vec<ProtocolRun>,
+fn runs_json(runs: Vec<ProtocolRun>) -> Json {
+    runs.into_iter()
+        .map(|r| {
+            Json::object()
+                .field("protocol", r.protocol)
+                .field("mean_mbps", r.mean_mbps)
+                .field("mean_delay_ms", r.mean_delay_ms)
+                .field("series", r.series)
+        })
+        .collect()
 }
 
 fn run_protocol(name: &str, sched: &[(SimTime, FixedParams)], seed: u64) -> ProtocolRun {
@@ -161,10 +165,9 @@ fn main() {
     guard_finite("fig11_rapid_change", &checks);
     write_json(
         "fig11_rapid_change",
-        &Fig11 {
-            capacity_series,
-            scenario1: runs1,
-            scenario2: runs2,
-        },
+        &Json::object()
+            .field("capacity_series", capacity_series)
+            .field("scenario1", runs_json(runs1))
+            .field("scenario2", runs_json(runs2)),
     );
 }

@@ -5,21 +5,11 @@
 //! arrival quickly carves out a share; late in the run all active flows
 //! sit near the fair share.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json, DumbbellExperiment, ProtocolSpec};
 use verus_netsim::queue::QueueConfig;
 use verus_nettypes::{SimDuration, SimTime};
 use verus_stats::jain_index;
-
-#[derive(Serialize)]
-struct Fig12 {
-    /// Per-flow per-second throughput series (Mbit/s).
-    series: Vec<Vec<(f64, f64)>>,
-    /// Jain's index over the final 20 s (all seven flows active).
-    final_jain: f64,
-    /// Mean per-flow rate over the final 20 s.
-    final_rates_mbps: Vec<f64>,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let flows = (0..7u64)
@@ -105,15 +95,19 @@ fn main() {
         ],
     );
 
+    // Per-flow per-second throughput series (Mbit/s), then Jain's index
+    // and the mean per-flow rates over the final 20 s (all seven active).
     write_json(
         "fig12_flow_arrivals",
-        &Fig12 {
-            series: reports
-                .iter()
-                .map(|r| r.throughput.series_mbps())
-                .collect(),
-            final_jain,
-            final_rates_mbps: final_rates,
-        },
+        &Json::object()
+            .field(
+                "series",
+                reports
+                    .iter()
+                    .map(|r| r.throughput.series_mbps())
+                    .collect::<Json>(),
+            )
+            .field("final_jain", final_jain)
+            .field("final_rates_mbps", final_rates),
     );
 }

@@ -5,19 +5,11 @@
 //! RTT — "indicative that the Verus fairness model is close to Max-Min
 //! fairness" — unlike TCP's 1/RTT bias.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json, DumbbellExperiment, ProtocolSpec};
 use verus_netsim::queue::QueueConfig;
 use verus_nettypes::{SimDuration, SimTime};
 use verus_stats::jain_index;
-
-#[derive(Serialize)]
-struct Fig13 {
-    rtts_ms: Vec<u64>,
-    mean_rates_mbps: Vec<f64>,
-    jain: f64,
-    series: Vec<Vec<(f64, f64)>>,
-}
+use verus_trace::json::Json;
 
 /// Per-flow throughput series (one `(t, Mbit/s)` list per flow).
 type FlowSeries = Vec<Vec<(f64, f64)>>;
@@ -75,7 +67,9 @@ fn main() {
     let rtts = [20u64, 50, 100];
     println!("Figure 13 — three Verus flows, RTT 20/50/100 ms, 60 Mbit/s link");
     println!();
-    let mut best: Option<Fig13> = None;
+    // The fairest R's run: (R, per-flow rates, Jain, per-flow series).
+    let mut best: Option<(f64, Vec<f64>, f64, FlowSeries)> = None;
+    let mut jain_by_r = Vec::new();
     for r in [2.0, 4.0] {
         let (rates, jain, series) = run_for_r(r, &rtts);
         println!("-- R = {r} --");
@@ -87,27 +81,29 @@ fn main() {
         print_table(&["base RTT", "throughput (Mbit/s)"], &rows);
         println!("Jain's index: {jain:.3}");
         println!();
-        if best.as_ref().is_none_or(|b| jain > b.jain) {
-            best = Some(Fig13 {
-                rtts_ms: rtts.to_vec(),
-                mean_rates_mbps: rates,
-                jain,
-                series,
-            });
+        jain_by_r.push((r, jain));
+        if best.as_ref().is_none_or(|b| jain > b.2) {
+            best = Some((r, rates, jain, series));
         }
     }
     println!("paper shape: throughput roughly independent of RTT (max-min-like");
     println!("fairness). A loss-based protocol's 1/RTT bias would hand the 20 ms");
-    println!("flow ~5x the 100 ms flow's share; Verus keeps the spread within ~2x");
+    println!("flow ~5x the 100 ms flow's share; Verus keeps the spread within ~3x");
     println!("(partial reproduction — see EXPERIMENTS.md).");
 
-    let best = best.expect("two runs");
+    let (r, rates, jain, series) = best.expect("two runs");
     guard_finite(
         "fig13_rtt_fairness",
-        &[
-            ("Jain", best.jain),
-            ("rates sum", best.mean_rates_mbps.iter().sum::<f64>()),
-        ],
+        &[("Jain", jain), ("rates sum", rates.iter().sum::<f64>())],
     );
-    write_json("fig13_rtt_fairness", &best);
+    write_json(
+        "fig13_rtt_fairness",
+        &Json::object()
+            .field("rtts_ms", rtts.to_vec())
+            .field("jain_by_r", jain_by_r)
+            .field("r", r)
+            .field("mean_rates_mbps", rates)
+            .field("jain", jain)
+            .field("series", series),
+    );
 }

@@ -6,18 +6,10 @@
 //! with TCP Cubic" — with all six flows active, the two protocol groups
 //! hold comparable aggregate shares.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json, DumbbellExperiment, ProtocolSpec};
 use verus_netsim::queue::QueueConfig;
 use verus_nettypes::{SimDuration, SimTime};
-
-#[derive(Serialize)]
-struct Fig14 {
-    /// Per-flow series; flows 0–2 Verus, 3–5 Cubic.
-    series: Vec<Vec<(f64, f64)>>,
-    verus_share_mbps: f64,
-    cubic_share_mbps: f64,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let mut flows: Vec<(ProtocolSpec, SimTime, SimDuration)> = Vec::new();
@@ -94,15 +86,20 @@ fn main() {
         ],
     );
 
+    // Per-flow series (flows 0–2 Verus, 3–5 Cubic), the all-active
+    // window's per-flow rates, and the two groups' shares.
     write_json(
         "fig14_vs_cubic",
-        &Fig14 {
-            series: reports
-                .iter()
-                .map(|r| r.throughput.series_mbps())
-                .collect(),
-            verus_share_mbps: verus_share,
-            cubic_share_mbps: cubic_share,
-        },
+        &Json::object()
+            .field(
+                "series",
+                reports
+                    .iter()
+                    .map(|r| r.throughput.series_mbps())
+                    .collect::<Json>(),
+            )
+            .field("rates_mbps", rates)
+            .field("verus_share_mbps", verus_share)
+            .field("cubic_share_mbps", cubic_share),
     );
 }

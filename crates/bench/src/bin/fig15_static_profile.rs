@@ -6,23 +6,17 @@
 //! — the static profile loses throughput and/or delay because its
 //! operating points no longer match the channel.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json, CellExperiment, ProtocolSpec};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_nettypes::SimDuration;
-
-#[derive(Serialize)]
-struct Fig15Row {
-    scenario: String,
-    updating_mbps: f64,
-    updating_delay_ms: f64,
-    static_mbps: f64,
-    static_delay_ms: f64,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let mut out = Vec::new();
     let mut rows = Vec::new();
+    let mut checks = Vec::new();
+    // Sums of updating Mbit/s, updating ms, static Mbit/s, static ms.
+    let mut sums = [0.0; 4];
     for (si, scenario) in Scenario::evaluation_five().into_iter().enumerate() {
         let trace = scenario
             .generate_trace(
@@ -57,13 +51,23 @@ fn main() {
             format!("{s_t:.2}"),
             format!("{s_d:.0}"),
         ]);
-        out.push(Fig15Row {
-            scenario: scenario.name().into(),
-            updating_mbps: u_t,
-            updating_delay_ms: u_d,
-            static_mbps: s_t,
-            static_delay_ms: s_d,
-        });
+        for (sum, v) in sums.iter_mut().zip([u_t, u_d, s_t, s_d]) {
+            *sum += v;
+        }
+        checks.extend([
+            ("updating throughput", u_t),
+            ("updating delay", u_d),
+            ("static throughput", s_t),
+            ("static delay", s_d),
+        ]);
+        out.push(
+            Json::object()
+                .field("scenario", scenario.name())
+                .field("updating_mbps", u_t)
+                .field("updating_delay_ms", u_d)
+                .field("static_mbps", s_t)
+                .field("static_delay_ms", s_d),
+        );
     }
 
     println!("Figure 15 — Verus (R=2) with updating vs static delay profile");
@@ -79,30 +83,19 @@ fn main() {
         &rows,
     );
     // Aggregate comparison.
-    let agg = |f: fn(&Fig15Row) -> f64| out.iter().map(f).sum::<f64>() / out.len() as f64;
+    let n = out.len() as f64;
     println!();
     println!(
         "averages: updating {:.2} Mbit/s @ {:.0} ms — static {:.2} Mbit/s @ {:.0} ms",
-        agg(|r| r.updating_mbps),
-        agg(|r| r.updating_delay_ms),
-        agg(|r| r.static_mbps),
-        agg(|r| r.static_delay_ms)
+        sums[0] / n,
+        sums[1] / n,
+        sums[2] / n,
+        sums[3] / n
     );
     println!();
     println!("paper shape: the static profile is strictly worse — lower throughput");
     println!("and/or higher delay — because the channel moves away from the curve.");
 
-    let checks: Vec<(&str, f64)> = out
-        .iter()
-        .flat_map(|r| {
-            [
-                ("updating throughput", r.updating_mbps),
-                ("updating delay", r.updating_delay_ms),
-                ("static throughput", r.static_mbps),
-                ("static delay", r.static_delay_ms),
-            ]
-        })
-        .collect();
     guard_finite("fig15_static_profile", &checks);
-    write_json("fig15_static_profile", &out);
+    write_json("fig15_static_profile", &Json::Arr(out));
 }

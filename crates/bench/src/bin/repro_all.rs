@@ -3,8 +3,10 @@
 //!
 //! Experiments fan out across cores (they are independent processes with
 //! per-experiment output files), but their stdout/stderr is captured and
-//! printed strictly in list order, so the log is byte-identical to a
-//! sequential run.
+//! printed strictly in list order. Timings and the job count go to
+//! stderr, so stdout is byte-identical across runs, `--jobs` settings and
+//! `VERUS_RESULTS` directories (`scripts/ci.sh` diffs it against
+//! `results/repro_all_output.txt`).
 //!
 //! Usage: `cargo run --release -p verus-bench --bin repro_all [--jobs N | --sequential]`
 //! (`VERUS_REPRO_JOBS` sets the default job count.)
@@ -76,11 +78,8 @@ fn main() {
         .expect("exe dir")
         .to_path_buf();
     let started = std::time::Instant::now();
-    println!(
-        "Running {} experiments with {} parallel job(s)…",
-        EXPERIMENTS.len(),
-        jobs.min(EXPERIMENTS.len())
-    );
+    println!("Running {} experiments…", EXPERIMENTS.len());
+    eprintln!("({} parallel job(s))", jobs.min(EXPERIMENTS.len()));
 
     let outcomes = run_ordered(
         EXPERIMENTS,
@@ -120,7 +119,7 @@ fn main() {
             std::io::stdout().write_all(&o.stdout).expect("stdout");
             std::io::stderr().write_all(&o.stderr).expect("stderr");
             if o.success {
-                println!("({} finished in {:.1} s)", o.name, o.secs);
+                eprintln!("({} finished in {:.1} s)", o.name, o.secs);
             } else if let Some(e) = &o.error {
                 eprintln!("{}: {e}", o.name);
             }
@@ -134,11 +133,8 @@ fn main() {
         .collect();
     println!();
     if failures.is_empty() {
-        println!(
-            "All {} experiments completed in {:.1} s wall clock; JSON in results/.",
-            EXPERIMENTS.len(),
-            started.elapsed().as_secs_f64()
-        );
+        println!("All {} experiments completed.", EXPERIMENTS.len());
+        eprintln!("({:.1} s wall clock)", started.elapsed().as_secs_f64());
     } else {
         eprintln!("FAILED: {failures:?}");
         std::process::exit(1);

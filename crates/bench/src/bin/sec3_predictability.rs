@@ -10,7 +10,6 @@
 //! mean at every horizon — the motivation for Verus adapting instead of
 //! predicting.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json};
 use verus_cellular::predictors::{
     evaluate, EwmaPredictor, LastValue, LinearPredictor, Predictor, PredictionError,
@@ -18,14 +17,7 @@ use verus_cellular::predictors::{
 };
 use verus_cellular::{OperatorModel, Scenario};
 use verus_nettypes::SimDuration;
-
-#[derive(Serialize)]
-struct Sec3Row {
-    predictor: String,
-    k: usize,
-    nrmse: f64,
-    mae_kbps: f64,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let trace = Scenario::CityStationary
@@ -40,6 +32,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let mut checks = Vec::new();
     for k in [1usize, 5, 25] {
         let mut score = |name: String, err: Option<PredictionError>| {
             let err = err.expect("series long enough");
@@ -49,12 +42,15 @@ fn main() {
                 format!("{:.2}", err.nrmse),
                 format!("{:.0}", err.mae),
             ]);
-            out.push(Sec3Row {
-                predictor: name,
-                k,
-                nrmse: err.nrmse,
-                mae_kbps: err.mae,
-            });
+            checks.push(("NRMSE", err.nrmse));
+            checks.push(("MAE", err.mae));
+            out.push(
+                Json::object()
+                    .field("predictor", name)
+                    .field("k", k)
+                    .field("nrmse", err.nrmse)
+                    .field("mae_kbps", err.mae),
+            );
         };
         let mut p = LastValue::new();
         score(p.name(), evaluate(&mut p, &series, k));
@@ -78,10 +74,6 @@ fn main() {
     println!("(NRMSE ≫ 0) even one 20 ms step ahead, and the linear extrapolator is");
     println!("no better than naive hold-last — the channel resists prediction.");
 
-    let checks: Vec<(&str, f64)> = out
-        .iter()
-        .flat_map(|r| [("NRMSE", r.nrmse), ("MAE", r.mae_kbps)])
-        .collect();
     guard_finite("sec3_predictability", &checks);
-    write_json("sec3_predictability", &out);
+    write_json("sec3_predictability", &Json::Arr(out));
 }

@@ -8,21 +8,13 @@
 //!   (throughput down / delay up);
 //! * larger δ values are more aggressive (throughput up, delay up).
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_core::{VerusCc, VerusConfig};
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::SimDuration;
-
-#[derive(Serialize)]
-struct SweepPoint {
-    parameter: String,
-    value: String,
-    mbps: f64,
-    delay_ms: f64,
-}
+use verus_trace::json::Json;
 
 fn run_config(config: VerusConfig, seed: u64) -> (f64, f64) {
     let trace = Scenario::CampusPedestrian
@@ -49,6 +41,7 @@ fn run_config(config: VerusConfig, seed: u64) -> (f64, f64) {
 fn main() {
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let mut checks = Vec::new();
     let mut push = |parameter: &str, value: String, mbps: f64, delay: f64| {
         rows.push(vec![
             parameter.to_string(),
@@ -56,12 +49,15 @@ fn main() {
             format!("{mbps:.2}"),
             format!("{delay:.0}"),
         ]);
-        out.push(SweepPoint {
-            parameter: parameter.into(),
-            value,
-            mbps,
-            delay_ms: delay,
-        });
+        checks.push(("throughput", mbps));
+        checks.push(("delay", delay));
+        out.push(
+            Json::object()
+                .field("parameter", parameter)
+                .field("value", value)
+                .field("mbps", mbps)
+                .field("delay_ms", delay),
+        );
     };
 
     // ε sweep.
@@ -109,10 +105,6 @@ fn main() {
     println!("paper shape: ε = 5 ms and a 1 s update interval sit at the knee of");
     println!("their sweeps; larger δ values trade delay for throughput.");
 
-    let checks: Vec<(&str, f64)> = out
-        .iter()
-        .flat_map(|p| [("throughput", p.mbps), ("delay", p.delay_ms)])
-        .collect();
     guard_finite("sec53_sensitivity", &checks);
-    write_json("sec53_sensitivity", &out);
+    write_json("sec53_sensitivity", &Json::Arr(out));
 }

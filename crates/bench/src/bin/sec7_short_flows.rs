@@ -12,19 +12,12 @@
 //! (~100 kB) Verus' FCT ≈ Cubic's; for larger transfers Verus stays
 //! competitive while keeping its delay advantage.
 
-use serde::Serialize;
 use verus_bench::{cc_by_name, guard_finite, print_table, write_json};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::SimDuration;
-
-#[derive(Serialize)]
-struct Fct {
-    size_kb: u64,
-    protocol: String,
-    fct_s: Option<f64>,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let trace = Scenario::CampusStationary
@@ -33,6 +26,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let mut checks = Vec::new();
     for size_kb in [100u64, 500, 2000] {
         let mut row = vec![format!("{size_kb} kB")];
         for proto in ["verus", "cubic", "sprout"] {
@@ -57,11 +51,15 @@ fn main() {
                 Some(t) => format!("{t:.2}"),
                 None => "DNF".into(),
             });
-            out.push(Fct {
-                size_kb,
-                protocol: proto.into(),
-                fct_s: report.completion_secs,
-            });
+            if let Some(t) = report.completion_secs {
+                checks.push(("completion time", t));
+            }
+            out.push(
+                Json::object()
+                    .field("size_kb", size_kb)
+                    .field("protocol", proto)
+                    .field("fct_s", report.completion_secs),
+            );
         }
         rows.push(row);
     }
@@ -74,10 +72,6 @@ fn main() {
     println!("startup; at larger sizes Verus stays within a small factor of Cubic");
     println!("(trading a little completion time for its delay bound).");
 
-    let checks: Vec<(&str, f64)> = out
-        .iter()
-        .filter_map(|f| f.fct_s.map(|t| ("completion time", t)))
-        .collect();
     guard_finite("sec7_short_flows", &checks);
-    write_json("sec7_short_flows", &out);
+    write_json("sec7_short_flows", &Json::Arr(out));
 }

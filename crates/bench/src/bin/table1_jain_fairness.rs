@@ -7,18 +7,11 @@
 //! fairness collapsing under high contention (≈70% at 20 users) while
 //! Verus and NewReno stay higher at scale.
 
-use serde::Serialize;
 use verus_bench::{guard_finite, print_table, write_json, CellExperiment, ProtocolSpec};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_nettypes::SimDuration;
 use verus_stats::windowed_jain_mean_from;
-
-#[derive(Serialize)]
-struct Table1Cell {
-    users: usize,
-    protocol: String,
-    jain_percent: f64,
-}
+use verus_trace::json::Json;
 
 fn main() {
     let user_counts = [2usize, 5, 10, 15, 20];
@@ -29,6 +22,7 @@ fn main() {
     ];
     let scenarios = Scenario::evaluation_five();
     let mut out = Vec::new();
+    let mut checks = Vec::new();
     let mut rows = Vec::new();
 
     for users in user_counts {
@@ -63,11 +57,13 @@ fn main() {
             }
             let jain = 100.0 * acc / n.max(1) as f64;
             row.push(format!("{jain:.1}%"));
-            out.push(Table1Cell {
-                users,
-                protocol: spec.label(),
-                jain_percent: jain,
-            });
+            checks.push(("Jain percent", jain));
+            out.push(
+                Json::object()
+                    .field("users", users)
+                    .field("protocol", spec.label())
+                    .field("jain_percent", jain),
+            );
         }
         rows.push(row);
     }
@@ -80,10 +76,6 @@ fn main() {
     println!("paper values: Cubic 98.1→70.1%, NewReno 89.7→82.0%, Verus 94.6→78.6%");
     println!("as users grow 2→20; the shape to match is Cubic degrading most under");
     println!("contention while NewReno stays flattest.");
-    let checks: Vec<(&str, f64)> = out
-        .iter()
-        .map(|c| ("Jain percent", c.jain_percent))
-        .collect();
     guard_finite("table1_jain_fairness", &checks);
-    write_json("table1_jain_fairness", &out);
+    write_json("table1_jain_fairness", &Json::Arr(out));
 }

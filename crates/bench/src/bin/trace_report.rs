@@ -20,12 +20,12 @@
 //! seed 42) so the committed sample trace is reproducible.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::Path;
 use verus_bench::{print_table, results_dir, CellExperiment, ProtocolSpec};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_nettypes::SimDuration;
 use verus_stats::{StreamingStats, ThroughputSeries, WindowedSeries};
+use verus_trace::json::Json;
 use verus_trace::{
     epochs_csv, parse_jsonl, profiles_csv, to_jsonl, PacketKind, Recorder, TraceFile,
 };
@@ -76,52 +76,43 @@ fn capture(out: Option<&str>) {
     }
 }
 
-/// Hand-rolled JSON for the summary artifact (workspace `serde_json` is
-/// an offline stub; same convention as `bench_chaos`).
-fn summary_json(tf: &TraceFile, intervals: &[Interval]) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(s, "  \"schema\": \"verus-trace-report-v0\",");
-    let _ = writeln!(s, "  \"substrate\": \"{}\",", tf.substrate);
-    let _ = writeln!(s, "  \"clock\": \"{}\",", tf.clock);
-    let _ = writeln!(s, "  \"epoch_records\": {},", tf.epochs.len());
-    let _ = writeln!(s, "  \"packet_records\": {},", tf.packets.len());
-    let _ = writeln!(s, "  \"profile_snapshots\": {},", tf.profiles.len());
-    let _ = writeln!(s, "  \"dropped_epochs\": {},", tf.dropped.epochs);
-    let _ = writeln!(s, "  \"dropped_packets\": {},", tf.dropped.packets);
-    let _ = writeln!(s, "  \"dropped_profiles\": {},", tf.dropped.profiles);
-    let phases = phase_spans(tf);
-    let _ = writeln!(s, "  \"phase_sequence\": [{}],",
-        phases
-            .iter()
-            .map(|(p, n)| format!("{{\"phase\": \"{p}\", \"epochs\": {n}}}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    let _ = writeln!(s, "  \"counters\": {{");
-    let n = tf.counters.len();
-    for (i, (k, v)) in tf.counters.iter().enumerate() {
-        let _ = writeln!(s, "    \"{k}\": {v}{}", if i + 1 < n { "," } else { "" });
-    }
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"intervals\": [");
-    let m = intervals.len();
-    for (i, iv) in intervals.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    {{\"t_s\": {:.1}, \"throughput_mbps\": {:.4}, \"mean_delay_ms\": {:.3}, \
-             \"p95_delay_ms\": {:.3}, \"mean_window\": {:.3}, \"losses\": {}}}{}",
-            iv.t_s,
-            iv.throughput_mbps,
-            iv.mean_delay_ms,
-            iv.p95_delay_ms,
-            iv.mean_window,
-            iv.losses,
-            if i + 1 < m { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    s.push_str("}\n");
-    s
+/// The summary artifact. Interval statistics keep fixed digits; one
+/// with no sample (an interval with ACKs but no epoch record has no
+/// mean window) is `null`.
+fn summary_json(tf: &TraceFile, intervals: &[Interval]) -> Json {
+    let phases: Json = phase_spans(tf)
+        .into_iter()
+        .map(|(p, n)| Json::object().field("phase", p).field("epochs", n))
+        .collect();
+    let counters = tf
+        .counters
+        .iter()
+        .fold(Json::object(), |obj, (k, v)| obj.field(k, *v));
+    let intervals: Json = intervals
+        .iter()
+        .map(|iv| {
+            Json::object()
+                .field("t_s", Json::fixed(iv.t_s, 1))
+                .field("throughput_mbps", Json::fixed(iv.throughput_mbps, 4))
+                .field("mean_delay_ms", Json::fixed(iv.mean_delay_ms, 3))
+                .field("p95_delay_ms", Json::fixed(iv.p95_delay_ms, 3))
+                .field("mean_window", Json::fixed(iv.mean_window, 3))
+                .field("losses", iv.losses)
+        })
+        .collect();
+    Json::object()
+        .field("schema", "verus-trace-report-v0")
+        .field("substrate", tf.substrate.as_str())
+        .field("clock", tf.clock.as_str())
+        .field("epoch_records", tf.epochs.len())
+        .field("packet_records", tf.packets.len())
+        .field("profile_snapshots", tf.profiles.len())
+        .field("dropped_epochs", tf.dropped.epochs)
+        .field("dropped_packets", tf.dropped.packets)
+        .field("dropped_profiles", tf.dropped.profiles)
+        .field("phase_sequence", phases)
+        .field("counters", counters)
+        .field("intervals", intervals)
 }
 
 /// Collapses the per-epoch phase column into (phase, run-length) spans.
@@ -223,7 +214,7 @@ fn report(path: &str) {
 
     let ivs = intervals(&tf);
     let summary = dir.join(format!("{stem}_summary.json"));
-    std::fs::write(&summary, summary_json(&tf, &ivs)).expect("write summary");
+    std::fs::write(&summary, summary_json(&tf, &ivs).pretty() + "\n").expect("write summary");
     println!("→ wrote {}", summary.display());
 
     println!("\ntrace: {} ({} clock)", tf.substrate, tf.clock);

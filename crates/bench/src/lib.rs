@@ -17,7 +17,7 @@ pub mod output;
 pub mod parallel;
 pub mod runners;
 
-pub use output::{guard_finite, print_table, results_dir, write_json};
+pub use output::{guard_finite, print_table, results_dir, summary_json, write_json};
 pub use parallel::{default_jobs, run_ordered};
 pub use runners::{
     cc_by_name, cell_experiment, dumbbell_experiment, CellExperiment, DumbbellExperiment,

@@ -1,7 +1,8 @@
 //! Output helpers: aligned text tables and JSON result records.
 
-use serde::Serialize;
 use std::path::PathBuf;
+use verus_stats::Summary;
+use verus_trace::json::Json;
 
 /// Directory where experiment JSON lands (`VERUS_RESULTS` or `results/`).
 #[must_use]
@@ -12,22 +13,31 @@ pub fn results_dir() -> PathBuf {
     path
 }
 
-/// Serializes `value` to `results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+/// Writes `value` as pretty JSON to `results/<name>.json` and prints
+/// `→ wrote <name>.json` (the name only, so stdout does not depend on
+/// `VERUS_RESULTS`). Exits non-zero when the file cannot be written.
+pub fn write_json(name: &str, value: &Json) {
     let path = results_dir().join(format!("{name}.json"));
-    // Serialize fully in memory before touching the file: `File::create`
-    // truncates, so serializing straight into it would destroy the
-    // previously committed artifact whenever serialization fails.
-    match serde_json::to_string_pretty(value) {
-        Ok(text) => {
-            if let Err(e) = std::fs::write(&path, text) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("→ wrote {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {}: {e}", path.display()),
+    if let Err(e) = std::fs::write(&path, value.pretty() + "\n") {
+        eprintln!("{name}: could not write {}: {e}", path.display());
+        std::process::exit(1);
     }
+    println!("→ wrote {name}.json");
+}
+
+/// A [`Summary`] as a JSON object, fields in declaration order.
+#[must_use]
+pub fn summary_json(s: &Summary) -> Json {
+    Json::object()
+        .field("count", s.count)
+        .field("mean", s.mean)
+        .field("std_dev", s.std_dev)
+        .field("min", s.min)
+        .field("p25", s.p25)
+        .field("median", s.median)
+        .field("p75", s.p75)
+        .field("p95", s.p95)
+        .field("max", s.max)
 }
 
 /// Verifies that every listed metric is finite; otherwise lists the

@@ -3,13 +3,12 @@
 //! ```bash
 //! verus-trace gen <scenario> <out-file> [--operator O] [--secs N] [--seed N]
 //! verus-trace info <file>
-//! verus-trace convert <in-file> <out-file>     # json <-> mahimahi by extension
+//! verus-trace convert <in-file> <out-file>     # re-quantize to MTU lines
 //! ```
 //!
 //! Scenario names: campus, pedestrian, city, driving, highway, mall,
 //! waterfront. Operators: etisalat3g (default), du3g, etisalatlte, dulte.
-//! Files ending in `.json` use the lossless JSON format; anything else is
-//! treated as mahimahi text (one ms-timestamp line per 1500-byte
+//! Trace files are mahimahi text (one ms-timestamp line per 1500-byte
 //! opportunity).
 
 use verus_cellular::burst::{burst_stats, trace_bursts};
@@ -54,13 +53,9 @@ fn operator_by_name(name: &str) -> OperatorModel {
 }
 
 fn load(path: &str) -> Trace {
-    let result = if path.ends_with(".json") {
-        Trace::load_json_path(path)
-    } else {
-        std::fs::File::open(path)
-            .map_err(Into::into)
-            .and_then(|f| Trace::load_mahimahi(path.to_string(), f))
-    };
+    let result = std::fs::File::open(path)
+        .map_err(Into::into)
+        .and_then(|f| Trace::load_mahimahi(path.to_string(), f));
     result.unwrap_or_else(|e| {
         eprintln!("could not load {path}: {e}");
         std::process::exit(1);
@@ -68,13 +63,9 @@ fn load(path: &str) -> Trace {
 }
 
 fn save(trace: &Trace, path: &str) {
-    let result = if path.ends_with(".json") {
-        trace.save_json_path(path)
-    } else {
-        std::fs::File::create(path)
-            .map_err(Into::into)
-            .and_then(|f| trace.save_mahimahi(f))
-    };
+    let result = std::fs::File::create(path)
+        .map_err(Into::into)
+        .and_then(|f| trace.save_mahimahi(f));
     if let Err(e) = result {
         eprintln!("could not write {path}: {e}");
         std::process::exit(1);

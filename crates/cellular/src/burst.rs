@@ -9,12 +9,11 @@
 //! scheduler grant, so the detector defaults to a 1 ms gap.
 
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{SimDuration, SimTime};
 use verus_stats::{LogHistogram, Summary};
 
 /// One detected burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Burst {
     /// Arrival time of the burst's first packet.
     pub start: SimTime,
@@ -63,7 +62,7 @@ pub fn trace_bursts(trace: &Trace, gap: SimDuration) -> Vec<Burst> {
 }
 
 /// Figure 2's statistics for one trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BurstStats {
     /// Number of bursts.
     pub count: usize,

@@ -16,11 +16,10 @@ use crate::scheduler::{saturated_user_trace, Demand, UserConfig};
 use crate::trace::{Trace, TraceError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{SimDuration, SimTime};
 
 /// Operator/technology models from the §3 measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatorModel {
     /// Du 3G/HSPA+ (2 ms TTI).
     Du3G,
@@ -79,7 +78,7 @@ impl OperatorModel {
 }
 
 /// The seven §5.3 measurement scenarios.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// Stationary on campus: clean channel, light contention.
     CampusStationary,
@@ -236,7 +235,7 @@ impl Scenario {
 /// windows. Keeping the parameters here — single-sourced — is what
 /// lets the tournament bench and the chaos soak impair the link
 /// identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutageTrain {
     /// First outage onset.
     pub start: SimTime,
@@ -267,7 +266,7 @@ impl OutageTrain {
 /// controllers. Each is a *named parameter set* shared by the
 /// tournament bench and the chaos soak so both harnesses exercise the
 /// identical channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StressScenario {
     /// Periodic sub-second handover gaps with mild reordering while
     /// driving: the inter-cell mobility pattern.

@@ -7,24 +7,19 @@
 //! §5.3). A saturating sender sees exactly the trace; a slower sender sees
 //! a subset.
 //!
-//! Two serialized forms are supported:
-//!
-//! * **mahimahi**: plain text, one millisecond timestamp per line, each
-//!   line one MTU-sized (1500-byte) delivery opportunity — compatible with
-//!   `mm-link` trace files so real mahimahi traces can be dropped in;
-//! * **JSON**: `(nanosecond, bytes)` pairs with metadata, lossless for
-//!   synthetic traces whose opportunities are not MTU-quantized.
+//! Traces are stored in mahimahi's format: plain text, one millisecond
+//! timestamp per line, each line one MTU-sized (1500-byte) delivery
+//! opportunity — compatible with `mm-link` trace files so real mahimahi
+//! traces can be dropped in.
 
-use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::path::Path;
 use verus_nettypes::{SimDuration, SimTime};
 
 /// Bytes per line in the mahimahi trace format.
 pub const MAHIMAHI_MTU: u32 = 1500;
 
 /// One delivery opportunity: at `time`, the link can carry `bytes`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Opportunity {
     /// When the opportunity occurs.
     pub time: SimTime,
@@ -54,7 +49,7 @@ pub struct Opportunity {
 /// let back = Trace::load_mahimahi("reloaded", &buf[..]).unwrap();
 /// assert!(back.total_bytes().abs_diff(trace.total_bytes()) < 1500);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Human-readable origin ("etisalat-3g campus stationary", …).
     pub name: String,
@@ -80,8 +75,6 @@ pub enum TraceError {
     },
     /// The trace has no opportunities.
     Empty,
-    /// JSON (de)serialization failure.
-    Json(serde_json::Error),
     /// A cell or link-budget configuration the channel model cannot run.
     InvalidCell {
         /// The offending field, e.g. `"packet_bytes"`.
@@ -102,7 +95,6 @@ impl std::fmt::Display for TraceError {
                 write!(f, "trace opportunities not sorted at index {index}")
             }
             Self::Empty => write!(f, "trace contains no opportunities"),
-            Self::Json(e) => write!(f, "trace JSON error: {e}"),
             Self::InvalidCell { field, requirement } => {
                 write!(f, "invalid cell config: {field} {requirement}")
             }
@@ -115,12 +107,6 @@ impl std::error::Error for TraceError {}
 impl From<std::io::Error> for TraceError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for TraceError {
-    fn from(e: serde_json::Error) -> Self {
-        Self::Json(e)
     }
 }
 
@@ -304,28 +290,6 @@ impl Trace {
         }
         Self::new(name, opportunities)
     }
-
-    /// Writes the lossless JSON format.
-    pub fn save_json<W: Write>(&self, writer: W) -> Result<(), TraceError> {
-        serde_json::to_writer(BufWriter::new(writer), self)?;
-        Ok(())
-    }
-
-    /// Reads the lossless JSON format.
-    pub fn load_json<R: Read>(reader: R) -> Result<Self, TraceError> {
-        let t: Trace = serde_json::from_reader(BufReader::new(reader))?;
-        Self::new(t.name, t.opportunities)
-    }
-
-    /// Convenience: save JSON to a path.
-    pub fn save_json_path(&self, path: impl AsRef<Path>) -> Result<(), TraceError> {
-        self.save_json(std::fs::File::create(path)?)
-    }
-
-    /// Convenience: load JSON from a path.
-    pub fn load_json_path(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        Self::load_json(std::fs::File::open(path)?)
-    }
 }
 
 #[cfg(test)]
@@ -471,19 +435,6 @@ mod tests {
             matches!(&err, TraceError::Parse { line: 3, content } if content == "18446744073710"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn json_round_trip_is_lossless() {
-        let t = sample();
-        let mut buf = Vec::new();
-        // The offline serde_json stub refuses to encode; the round-trip
-        // contract only applies when a real codec is linked in.
-        if t.save_json(&mut buf).is_err() {
-            return;
-        }
-        let parsed = Trace::load_json(&buf[..]).unwrap();
-        assert_eq!(parsed, t);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Verus parameters (paper §5.3 plus documented defaults for values the
 //! paper leaves unstated).
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::SimDuration;
 
 /// Which interpolation backs the delay profile.
@@ -10,7 +9,7 @@ use verus_nettypes::SimDuration;
 /// spline fit to noisy profile points can oscillate and momentarily
 /// invert; the Fritsch–Carlson monotone variant cannot. Both are provided
 /// and compared in the `ablation_spline` bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SplineKind {
     /// Natural cubic spline — the paper's choice.
     Natural,
@@ -25,7 +24,7 @@ pub enum SplineKind {
 /// threshold N = 15, and R = 2 ("we set Verus' parameter R = 2 unless
 /// otherwise stated", §6.2). Values the paper does not pin down are
 /// documented at their fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerusConfig {
     /// Epoch length ε: how often the window estimator runs.
     pub epoch: SimDuration,

@@ -20,13 +20,12 @@
 //! order as BBR's min-RTT window) keeps `Dmin` meaningful across path
 //! changes while still spanning hundreds of epochs of queue drainage.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use verus_nettypes::{SimDuration, SimTime};
 use verus_stats::Ewma;
 
 /// Output of one epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochDelays {
     /// Smoothed per-epoch maximum delay `Dmax,i`, milliseconds.
     pub dmax_ms: f64,
@@ -40,7 +39,7 @@ pub struct EpochDelays {
 
 /// The delay estimator: per-epoch max tracking with EWMA smoothing and a
 /// sliding-window minimum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DelayEstimator {
     ewma: Ewma,
     /// max(D⃗ᵢ) of the epoch in progress.

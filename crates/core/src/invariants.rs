@@ -31,7 +31,6 @@
 //! point rises by at most δ₂.
 
 use crate::sender::Phase;
-use serde::{Deserialize, Serialize};
 
 /// Whether the invariant layer is compiled into this build.
 pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "strict-invariants"));
@@ -70,7 +69,7 @@ pub fn phase_transition(from: Phase, to: Phase) {
 /// harnesses can assert structural properties of the whole trajectory —
 /// e.g. "the illegal `SlowStart → Recovery` edge was never taken" or
 /// "a blackout produced at least one re-entry into slow start".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseAudit {
     counts: [[u64; 3]; 3],
 }

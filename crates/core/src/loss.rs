@@ -20,10 +20,8 @@
 //!   loss, recognized by its echoed sending window being ≤ the current
 //!   (collapsed) window.
 
-use serde::{Deserialize, Serialize};
-
 /// Loss-recovery bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossHandler {
     m: f64,
     in_recovery: bool,

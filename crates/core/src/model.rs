@@ -51,10 +51,9 @@
 //! EWMA dynamics is genuinely future work.
 
 use crate::config::VerusConfig;
-use serde::{Deserialize, Serialize};
 
 /// Steady-state predictions for one Verus flow on a fixed link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteadyState {
     /// Lower edge of the delay oscillation band, ms (= base RTT).
     pub delay_min_ms: f64,

@@ -19,14 +19,13 @@
 //! delays are kept in milliseconds — the unit all of §4's equations use.
 
 use crate::config::SplineKind;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use verus_nettypes::{SimDuration, SimTime};
 use verus_spline::{Curve, MonotoneCubic, NaturalCubic};
 use verus_stats::Ewma;
 
 /// A fitted profile curve (either spline family).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum ProfileCurve {
     Natural(NaturalCubic),
     Monotone(MonotoneCubic),
@@ -136,14 +135,14 @@ impl InvLut {
 }
 
 /// One profile point: smoothed delay plus its freshness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Point {
     ewma: Ewma,
     last_update: SimTime,
 }
 
 /// The delay profile: point set + fitted curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DelayProfiler {
     alpha: f64,
     kind: SplineKind,
@@ -157,9 +156,8 @@ pub struct DelayProfiler {
     points: BTreeMap<u32, Point>,
     curve: Option<ProfileCurve>,
     /// Inverse-lookup table over the fitted curve, rebuilt alongside it.
-    /// Skipped by serde: a deserialized profiler regenerates it at its
-    /// next refit; until then lookups fall back to the direct curve scan.
-    #[serde(skip)]
+    /// `None` until the first refit builds it; lookups without a table
+    /// fall back to the direct curve scan.
     inv_lut: Option<InvLut>,
     /// Largest window among live points (sets the upward-probing
     /// headroom; recomputed when points age out).
@@ -330,7 +328,7 @@ impl DelayProfiler {
                 }
                 Some(hi)
             }
-            // No table (freshly deserialized): direct coarse scan with the
+            // No table: direct coarse scan with the
             // same threshold semantics.
             None => Some(Self::scan_lookup(curve, dest_ms, lo, hi)),
         }
@@ -396,7 +394,7 @@ impl DelayProfiler {
 
     /// The pre-LUT inverse lookup: walk a 512-point grid over `[lo, hi]`
     /// and refine the first crossing cell. Kept as the fallback for
-    /// profilers deserialized without a table.
+    /// profilers without a table.
     fn scan_lookup(curve: &ProfileCurve, dest_ms: f64, lo: f64, hi: f64) -> f64 {
         const STEPS: usize = 512;
         let mut prev_w = lo;
@@ -519,9 +517,8 @@ mod tests {
 
     #[test]
     fn lut_and_fallback_scan_agree() {
-        // A profiler deserialized from a snapshot loses its LUT (the field
-        // is serde-skipped) and takes the direct-scan path; both paths must
-        // land on the same window.
+        // A profiler without its LUT takes the direct-scan path; both
+        // paths must land on the same window.
         let mut p = profiler();
         feed_linear(&mut p);
         let mut stripped = p.clone();

@@ -42,7 +42,6 @@ use crate::invariants;
 use crate::loss::LossHandler;
 use crate::profile::DelayProfiler;
 use crate::window::{DelayTrend, WindowEstimator};
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{
     AckEvent, CongestionControl, LossEvent, LossKind, RttEstimator, SimDuration, SimTime,
 };
@@ -51,7 +50,7 @@ use verus_trace::{
 };
 
 /// Protocol phase (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Exponential startup; builds the initial delay profile.
     SlowStart,
@@ -62,7 +61,7 @@ pub enum Phase {
 }
 
 /// The Verus congestion controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VerusCc {
     config: VerusConfig,
     phase: Phase,
@@ -100,15 +99,12 @@ pub struct VerusCc {
     /// [`invariants::PhaseAudit`]).
     phase_audit: invariants::PhaseAudit,
     /// Telemetry sink (`verus-trace`): disabled by default, installed by
-    /// the harness via [`CongestionControl::attach_trace`]. Never
-    /// serialized — a deserialized controller comes back untraced —
-    /// and clones share the same sink.
-    #[serde(skip)]
+    /// the harness via [`CongestionControl::attach_trace`]. Clones share
+    /// the same sink.
     trace: TraceHandle,
     /// Profile re-interpolation count (the [`ProfileSnapshot`]
     /// generation). Counted on every refit so generation numbers are
     /// identical whether or not a trace sink is attached.
-    #[serde(skip)]
     profile_generation: u64,
 }
 

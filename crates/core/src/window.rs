@@ -20,11 +20,10 @@
 //! `S = W/(n−1)` — one window per RTT — while a jump in the target is
 //! absorbed within a single epoch.
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::SimDuration;
 
 /// Inputs to one Eq. 4 step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayTrend {
     /// Smoothed per-epoch maximum delay `Dmax,i`, ms.
     pub dmax_ms: f64,
@@ -35,7 +34,7 @@ pub struct DelayTrend {
 }
 
 /// The window estimator state: the delay set point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowEstimator {
     dest_ms: f64,
     delta1_ms: f64,

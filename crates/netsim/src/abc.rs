@@ -28,12 +28,11 @@
 //! `None` every packet's mark stays `None` and the pre-ABC byte-identity
 //! suites are untouched.
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{SimDuration, SimTime};
 
 /// Router-side ABC marking parameters (§5.1 of the ABC paper, defaults
 /// per its recommended operating point).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbcConfig {
     /// Target utilization `η` ∈ (0, 1]: the fraction of the measured
     /// link rate the accelerate stream aims for (0.95 keeps a small

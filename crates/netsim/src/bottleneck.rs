@@ -13,12 +13,11 @@
 //! only describes the *service* process. The event bookkeeping (what
 //! departs when) is executed by [`crate::sim`].
 
-use serde::{Deserialize, Serialize};
 use verus_cellular::Trace;
 use verus_nettypes::{SimDuration, SimTime};
 
 /// Parameters of the fixed (dumbbell) link at one point in time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedParams {
     /// Service rate, bits per second.
     pub rate_bps: f64,

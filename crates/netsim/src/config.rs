@@ -3,11 +3,10 @@
 use crate::bottleneck::BottleneckConfig;
 use crate::impairment::ImpairmentConfig;
 use crate::queue::QueueConfig;
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{CongestionControl, SimDuration, SimTime};
 
 /// How the transport declares a packet lost (besides the RTO).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossDetection {
     /// TCP-style: a packet is lost once `threshold` later packets have
     /// been acknowledged (the event-based equivalent of three duplicate

@@ -35,11 +35,10 @@
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{SimDuration, SimTime};
 
 /// Stochastic loss process applied to each packet entering the link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossModel {
     /// No stochastic impairment loss.
     None,
@@ -89,7 +88,7 @@ impl LossModel {
 
 /// A timed link outage (e.g. a handover gap): the link carries nothing
 /// between `start` and `start + duration`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Blackout {
     /// When the outage begins.
     pub start: SimTime,
@@ -113,7 +112,7 @@ impl Blackout {
 
 /// The full impairment pipeline configuration. `Default` is a no-op
 /// pipeline (every existing configuration keeps its behaviour).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImpairmentConfig {
     /// Stochastic loss process.
     pub loss: LossModel,
@@ -251,7 +250,7 @@ fn check_probability(name: &str, p: f64) -> Result<(), String> {
 /// Minimal deterministic PRNG (SplitMix64). The impairment layer owns
 /// its own generator so fault schedules replay identically regardless of
 /// what the rest of the system does with its RNG.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -301,7 +300,7 @@ pub struct EgressFate {
 
 /// Runtime state of the impairment pipeline: configuration + private RNG
 /// + the Gilbert–Elliott chain state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Impairments {
     config: ImpairmentConfig,
     rng: SplitMix64,

@@ -1,10 +1,9 @@
 //! Per-flow measurement results.
 
-use serde::{Deserialize, Serialize};
 use verus_stats::{StreamingStats, Summary, ThroughputSeries};
 
 /// Everything measured about one flow during a simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlowReport {
     /// Protocol name ("verus", "cubic", …).
     pub protocol: String,
@@ -22,7 +21,6 @@ pub struct FlowReport {
     /// Streaming delay statistics (exact mean/min/max, P² quantiles,
     /// histogram) recorded for every delivery regardless of whether raw
     /// samples are buffered.
-    #[serde(default = "StreamingStats::for_delays_ms")]
     pub delay_stats: StreamingStats,
     /// Packets handed to the network.
     pub sent: u64,
@@ -45,9 +43,7 @@ pub struct FlowReport {
     /// Packets shed by the sender's overload guard before reaching the
     /// link (they consumed a sequence number and congestion-control
     /// credit but were never launched); see
-    /// [`crate::FlowConfig::with_shed_cap`]. Reports serialized before
-    /// this column existed deserialize as 0.
-    #[serde(default)]
+    /// [`crate::FlowConfig::with_shed_cap`].
     pub shed_dropped: u64,
     /// Duplicate copies injected by the impairment pipeline.
     pub dup_injected: u64,

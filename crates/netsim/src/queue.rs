@@ -7,12 +7,11 @@
 //! DropTail with a large capacity models the over-dimensioned
 //! base-station buffers behind the paper's bufferbloat observations.
 
-use serde::{Deserialize, Serialize};
 use verus_nettypes::SimTime;
 
 /// A queued packet: identity is kept by the simulator, the queue only
 /// needs size and the flow/seq handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuedPacket {
     /// Flow index.
     pub flow: usize,
@@ -38,7 +37,7 @@ pub enum EnqueueResult {
 }
 
 /// Queue-discipline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QueueConfig {
     /// FIFO with a byte capacity.
     DropTail {

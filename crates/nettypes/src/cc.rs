@@ -21,11 +21,10 @@
 //! [`CongestionControl::on_tick`] callbacks.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 pub use verus_trace::TraceHandle;
 
 /// Information delivered to the controller for every (first-time) ACK.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AckEvent {
     /// Sequence number acknowledged.
     pub seq: u64,
@@ -48,7 +47,7 @@ pub struct AckEvent {
 }
 
 /// How a loss was detected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossKind {
     /// Inferred from reordering (Verus' 3×delay gap timer, TCP's three
     /// duplicate ACKs): the network is still delivering packets.
@@ -59,7 +58,7 @@ pub enum LossKind {
 
 /// Information delivered to the controller when the transport declares a
 /// packet lost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossEvent {
     /// Sequence number declared lost.
     pub seq: u64,
@@ -135,7 +134,7 @@ pub trait CongestionControl: Send {
 /// Serves two roles: the CBR-style probe traffic of the paper's §3
 /// measurements (fixed number of packets in flight ≈ fixed rate over a
 /// fixed-delay path), and a reference implementation for transport tests.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FixedWindow {
     window: usize,
 }

@@ -26,7 +26,6 @@
 //! conversion can overflow on a hostile packet.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 /// Magic for data packets: "VD".
 const MAGIC_DATA: u16 = 0x5644;
@@ -46,7 +45,7 @@ pub const ACK_LEN: usize = 2 + 4 + 8 + 8 + 8 + 8;
 pub const MAX_WIRE_TIME_US: u64 = u64::MAX / 1_000;
 
 /// A data packet as carried by the transport.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPacket {
     /// Flow identifier (one Verus connection = one flow id).
     pub flow: u32,
@@ -64,7 +63,7 @@ pub struct DataPacket {
 }
 
 /// An acknowledgment packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AckPacket {
     /// Flow identifier.
     pub flow: u32,
@@ -82,7 +81,7 @@ pub struct AckPacket {
 }
 
 /// Decoding failures.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireDecodeError {
     /// Buffer shorter than a full header.
     Truncated {

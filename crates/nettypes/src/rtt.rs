@@ -6,11 +6,10 @@
 //! window is maintained (`n = ⌈RTT/ε⌉` in paper Eq. 5).
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Classic SRTT/RTTVAR estimator with RFC 6298 constants
 /// (α = 1/8, β = 1/4, RTO = SRTT + 4·RTTVAR, clamped).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,

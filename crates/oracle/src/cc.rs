@@ -9,11 +9,10 @@
 //! upper bound the tournament scores everyone else against.
 
 use crate::plan::SchedulePlan;
-use serde::{Deserialize, Serialize};
 use verus_nettypes::{AckEvent, CongestionControl, LossEvent, SimDuration, SimTime};
 
 /// Omniscient controller: emits packets on the precomputed schedule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OracleCc {
     plan: SchedulePlan,
     /// Packets already handed to the transport.

@@ -18,7 +18,6 @@
 //! few milliseconds, so the plan is self-stabilizing rather than
 //! brittle about alignment.
 
-use serde::{Deserialize, Serialize};
 use verus_cellular::Trace;
 use verus_nettypes::{SimDuration, SimTime};
 
@@ -27,7 +26,7 @@ use verus_nettypes::{SimDuration, SimTime};
 pub type Outage = (SimTime, SimTime);
 
 /// The omniscient send schedule for one scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchedulePlan {
     /// Sorted send instants, one per plannable packet.
     send_times: Vec<SimTime>,

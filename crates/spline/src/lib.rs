@@ -32,10 +32,8 @@ mod natural;
 pub use monotone::MonotoneCubic;
 pub use natural::NaturalCubic;
 
-use serde::{Deserialize, Serialize};
-
 /// Errors from spline construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SplineError {
     /// Fewer than two knots were supplied.
     TooFewKnots {

@@ -7,11 +7,10 @@
 //! (ablation `ablation_spline`).
 
 use crate::{validate, Curve, SplineError};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
 /// A fitted Fritsch–Carlson monotone cubic interpolant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MonotoneCubic {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -20,7 +19,6 @@ pub struct MonotoneCubic {
     /// Last segment served by [`Self::segment`] (see
     /// [`crate::NaturalCubic`] for why: sweeps hit adjacent segments, so
     /// the cached hint makes them O(1) amortized).
-    #[serde(skip)]
     hint: Cell<usize>,
 }
 

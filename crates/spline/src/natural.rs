@@ -7,7 +7,6 @@
 //! by the original Verus prototype.
 
 use crate::{validate, Curve, SplineError};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
 /// A fitted natural cubic spline.
@@ -23,7 +22,7 @@ use std::cell::Cell;
 /// let x = s.solve_x(25.0, 0.0, 10.0);                   // inverse lookup
 /// assert!((x - 5.0).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NaturalCubic {
     xs: Vec<f64>,
     ys: Vec<f64>,
@@ -33,7 +32,6 @@ pub struct NaturalCubic {
     /// builds, curve sampling, bisection) hit the same or an adjacent
     /// segment almost every call, so checking the hint first makes those
     /// lookups O(1) amortized; a miss falls back to binary search.
-    #[serde(skip)]
     hint: Cell<usize>,
 }
 

@@ -10,14 +10,12 @@
 //! The weight convention here matches the paper: `alpha` is the weight on
 //! the *previous* smoothed value, so larger `alpha` means slower adaptation.
 
-use serde::{Deserialize, Serialize};
-
 /// An exponentially weighted moving average with weight `alpha` on history.
 ///
 /// The first observation initializes the average exactly (no bias towards
 /// zero), matching how the Verus prototype seeds `Dmax` from the first
 /// epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,

@@ -5,10 +5,8 @@
 //! axes; [`LogHistogram`] reproduces exactly that binning. [`Histogram`]
 //! is the plain linear variant used for delay distributions.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-range, uniformly binned histogram.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -146,7 +144,7 @@ impl Histogram {
 }
 
 /// A histogram with logarithmically spaced bins, as used by Figure 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogHistogram {
     log_lo: f64,
     log_hi: f64,

@@ -5,8 +5,6 @@
 //! both use the linear-interpolation quantile estimator implemented here
 //! (type 7 in the Hyndman–Fan taxonomy, the default of R and NumPy).
 
-use serde::{Deserialize, Serialize};
-
 /// Computes the `q`-quantile (`0 ≤ q ≤ 1`) of `data` by sorting a copy.
 ///
 /// Returns `None` for empty input. NaN values are rejected by panic since
@@ -38,7 +36,7 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 
 /// A summary of a sample: count, mean, standard deviation and the
 /// quantiles the paper's plots report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -96,7 +94,7 @@ impl Summary {
 /// computation. From the sixth observation on, the marker heights are
 /// adjusted with the parabolic (falling back to linear) P² update and the
 /// estimate is the middle marker.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct P2Quantile {
     /// Target quantile in `[0, 1]`.
     p: f64,

@@ -3,10 +3,8 @@
 //! Used throughout the evaluation harness to accumulate per-flow throughput
 //! and delay statistics in a single pass without storing every sample.
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass accumulator for count, mean, variance, min and max.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Running {
     n: u64,
     mean: f64,

@@ -13,11 +13,10 @@
 use crate::histogram::Histogram;
 use crate::quantile::{P2Quantile, Summary};
 use crate::running::Running;
-use serde::{Deserialize, Serialize};
 
 /// O(1)-per-sample replacement for a buffered sample vector: exact
 /// moments, P²-estimated quantiles, fixed-width histogram.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamingStats {
     running: Running,
     p25: P2Quantile,

@@ -12,11 +12,10 @@
 //! mean-per-window variant used for delay series.
 
 use crate::jain::jain_index;
-use serde::{Deserialize, Serialize};
 
 /// Accumulates `(time, bytes)` events into fixed windows and reports the
 /// per-window throughput in bits per second.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThroughputSeries {
     window_s: f64,
     /// bytes accumulated per window index
@@ -90,7 +89,7 @@ impl ThroughputSeries {
 
 /// Accumulates scalar samples into fixed windows and reports per-window
 /// means (used for delay-over-time plots like Figure 11b).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindowedSeries {
     window_s: f64,
     sums: Vec<f64>,

@@ -1,9 +1,6 @@
 //! JSONL / CSV export and the matching parser.
 //!
-//! The workspace's `serde_json` is an offline stub, so — following the
-//! `verus-bench` convention (`bench_chaos`'s hand-rolled record) — the
-//! exporter formats JSON by hand and the parser is a tiny
-//! recursive-descent reader for exactly the subset the exporter writes.
+//! Lines are built and read with the crate's [`crate::json`] module.
 //! Every line is one flat JSON object with a `type` field; key order is
 //! fixed per record type so two traces from different substrates can be
 //! compared field-for-field.
@@ -32,6 +29,7 @@ use crate::schema::{
     DeltaDecision, EpochRecord, PacketKind, PacketRecord, ProfileSnapshot, SessionEventKind,
     SessionRecord, SessionState, TracePhase,
 };
+use crate::json::{self, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -56,96 +54,46 @@ fn stream_order(times: &[u64], lanes: &[u32]) -> Vec<usize> {
     idx
 }
 
-/// A finite float as JSON, `null` otherwise (a NaN would corrupt the
-/// whole line for jq consumers).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+fn epoch_line(r: &EpochRecord) -> Json {
+    Json::object()
+        .field("type", "epoch")
+        .field("t_ns", r.t_ns)
+        .field("epoch", r.epoch)
+        .field("phase", r.phase.as_str())
+        .field("window", r.window)
+        .field("dest_ms", r.dest_ms)
+        .field("delay_ms", r.delay_ms)
+        .field("decision", r.decision.as_str())
+        .field("headroom", r.headroom)
 }
 
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), json_f64)
+fn packet_line(r: &PacketRecord) -> Json {
+    Json::object()
+        .field("type", "packet")
+        .field("t_ns", r.t_ns)
+        .field("kind", r.kind.as_str())
+        .field("seq", r.seq)
+        .field("bytes", r.bytes)
+        .field("window", r.window)
+        .field("rtt_ms", r.rtt_ms)
 }
 
-/// Escapes a string for a JSON literal (quotes, backslashes, control
-/// characters; everything the exporter writes is ASCII identifiers, but
-/// counter names come from callers).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn profile_line(s: &ProfileSnapshot) -> Json {
+    Json::object()
+        .field("type", "profile")
+        .field("t_ns", s.t_ns)
+        .field("generation", s.generation)
+        .field("samples", s.samples.iter().copied().collect::<Json>())
 }
 
-fn epoch_line(r: &EpochRecord) -> String {
-    format!(
-        "{{\"type\":\"epoch\",\"t_ns\":{},\"epoch\":{},\"phase\":{},\"window\":{},\
-         \"dest_ms\":{},\"delay_ms\":{},\"decision\":{},\"headroom\":{}}}",
-        r.t_ns,
-        r.epoch,
-        json_str(r.phase.as_str()),
-        json_f64(r.window),
-        json_opt_f64(r.dest_ms),
-        json_opt_f64(r.delay_ms),
-        json_str(r.decision.as_str()),
-        json_opt_f64(r.headroom),
-    )
-}
-
-fn packet_line(r: &PacketRecord) -> String {
-    format!(
-        "{{\"type\":\"packet\",\"t_ns\":{},\"kind\":{},\"seq\":{},\"bytes\":{},\
-         \"window\":{},\"rtt_ms\":{}}}",
-        r.t_ns,
-        json_str(r.kind.as_str()),
-        r.seq,
-        r.bytes,
-        json_f64(r.window),
-        json_opt_f64(r.rtt_ms),
-    )
-}
-
-fn profile_line(s: &ProfileSnapshot) -> String {
-    let mut samples = String::from("[");
-    for (i, (w, d)) in s.samples.iter().enumerate() {
-        if i > 0 {
-            samples.push(',');
-        }
-        let _ = write!(samples, "[{},{}]", json_f64(*w), json_f64(*d));
-    }
-    samples.push(']');
-    format!(
-        "{{\"type\":\"profile\",\"t_ns\":{},\"generation\":{},\"samples\":{}}}",
-        s.t_ns, s.generation, samples
-    )
-}
-
-fn session_line(r: &SessionRecord) -> String {
-    format!(
-        "{{\"type\":\"session\",\"t_ns\":{},\"kind\":{},\"state\":{},\"retries\":{},\
-         \"elapsed_ns\":{}}}",
-        r.t_ns,
-        json_str(r.kind.as_str()),
-        json_str(r.state.as_str()),
-        r.retries,
-        r.elapsed_ns,
-    )
+fn session_line(r: &SessionRecord) -> Json {
+    Json::object()
+        .field("type", "session")
+        .field("t_ns", r.t_ns)
+        .field("kind", r.kind.as_str())
+        .field("state", r.state.as_str())
+        .field("retries", r.retries)
+        .field("elapsed_ns", r.elapsed_ns)
 }
 
 /// Serializes a recorded trace to JSONL. `substrate` names the producer
@@ -154,68 +102,61 @@ fn session_line(r: &SessionRecord) -> String {
 #[must_use]
 pub fn to_jsonl(rec: &Recorder, substrate: &str, clock: &str) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"header\",\"schema\":{},\"substrate\":{},\"clock\":{}}}",
-        json_str(SCHEMA),
-        json_str(substrate),
-        json_str(clock)
+    let mut emit = |line: Json| {
+        let _ = writeln!(out, "{line}");
+    };
+    emit(
+        Json::object()
+            .field("type", "header")
+            .field("schema", SCHEMA)
+            .field("substrate", substrate)
+            .field("clock", clock),
     );
     let epochs = rec.epochs();
     for i in stream_order(
         &epochs.iter().map(|r| r.t_ns).collect::<Vec<_>>(),
         rec.epoch_lanes(),
     ) {
-        out.push_str(&epoch_line(&epochs[i]));
-        out.push('\n');
+        emit(epoch_line(&epochs[i]));
     }
     let packets = rec.packets();
     for i in stream_order(
         &packets.iter().map(|r| r.t_ns).collect::<Vec<_>>(),
         rec.packet_lanes(),
     ) {
-        out.push_str(&packet_line(&packets[i]));
-        out.push('\n');
+        emit(packet_line(&packets[i]));
     }
     let profiles = rec.profiles();
     for i in stream_order(
         &profiles.iter().map(|s| s.t_ns).collect::<Vec<_>>(),
         rec.profile_lanes(),
     ) {
-        out.push_str(&profile_line(&profiles[i]));
-        out.push('\n');
+        emit(profile_line(&profiles[i]));
     }
     let sessions = rec.sessions();
     for i in stream_order(
         &sessions.iter().map(|s| s.t_ns).collect::<Vec<_>>(),
         rec.session_lanes(),
     ) {
-        out.push_str(&session_line(&sessions[i]));
-        out.push('\n');
+        emit(session_line(&sessions[i]));
     }
     let d = rec.dropped();
-    let mut counters = String::from("{");
-    for (i, (k, v)) in rec.counters().iter().enumerate() {
-        if i > 0 {
-            counters.push(',');
-        }
-        let _ = write!(counters, "{}:{}", json_str(k), v);
-    }
-    counters.push('}');
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"summary\",\"epochs\":{},\"packets\":{},\"profiles\":{},\
-         \"sessions\":{},\"dropped_epochs\":{},\"dropped_packets\":{},\
-         \"dropped_profiles\":{},\"dropped_sessions\":{},\"counters\":{}}}",
-        rec.epochs().len(),
-        rec.packets().len(),
-        rec.profiles().len(),
-        rec.sessions().len(),
-        d.epochs,
-        d.packets,
-        d.profiles,
-        d.sessions,
-        counters
+    let counters = rec
+        .counters()
+        .iter()
+        .fold(Json::object(), |obj, (k, v)| obj.field(k, *v));
+    emit(
+        Json::object()
+            .field("type", "summary")
+            .field("epochs", epochs.len())
+            .field("packets", packets.len())
+            .field("profiles", profiles.len())
+            .field("sessions", sessions.len())
+            .field("dropped_epochs", d.epochs)
+            .field("dropped_packets", d.packets)
+            .field("dropped_profiles", d.profiles)
+            .field("dropped_sessions", d.sessions)
+            .field("counters", counters),
     );
     out
 }
@@ -277,256 +218,29 @@ pub fn profiles_csv(profiles: &[ProfileSnapshot]) -> String {
 
 // ---------------------------------------------------------------- parser
 
-/// A parsed JSON value (the subset the exporter emits).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    /// Numbers keep their raw token so `u64` fields parse exactly.
-    Num(String),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_opt_f64(&self) -> Result<Option<f64>, String> {
-        match self {
-            Json::Null => Ok(None),
-            Json::Num(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("bad number {raw:?}")),
-            other => Err(format!("expected number or null, got {other:?}")),
-        }
+/// `null` or a number.
+fn opt_f64(v: &Json) -> Result<Option<f64>, String> {
+    match v {
+        Json::Null => Ok(None),
+        other => other
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| format!("expected number or null, got {other:?}")),
     }
 }
 
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            b: text.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} (found {:?})",
-                c as char,
-                self.i,
-                self.b.get(self.i).map(|&x| x as char)
-            ))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected token {other:?} at byte {}", self.i)),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(val)
-        } else {
-            Err(format!("expected {word:?} at byte {}", self.i))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        let raw = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        if raw.parse::<f64>().is_err() {
-            return Err(format!("bad number {raw:?}"));
-        }
-        Ok(Json::Num(raw.to_string()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while let Some(&c) = self.b.get(self.i) {
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.b.get(self.i).copied().ok_or("truncated escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.i += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                other => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if other < 0x80 {
-                        out.push(other as char);
-                    } else {
-                        let start = self.i - 1;
-                        let mut end = self.i;
-                        while end < self.b.len() && (self.b[end] & 0xC0) == 0x80 {
-                            end += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.b[start..end])
-                                .map_err(|_| "bad utf8 in string")?,
-                        );
-                        self.i = end;
-                    }
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(items));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let val = self.value()?;
-            items.push((key, val));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(items));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-}
-
-fn parse_line(line: &str) -> Result<Vec<(String, Json)>, String> {
-    let mut p = Parser::new(line);
-    match p.value()? {
-        Json::Obj(fields) => {
-            p.skip_ws();
-            if p.i != p.b.len() {
-                return Err(format!("trailing garbage at byte {}", p.i));
-            }
-            Ok(fields)
-        }
+fn parse_line(line: &str) -> Result<Json, String> {
+    match json::parse(line)? {
+        obj @ Json::Obj(_) => Ok(obj),
         _ => Err("line is not a JSON object".to_string()),
     }
 }
 
-fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {key:?}"))
+fn field<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
+    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
 }
 
-fn req_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
+fn req_u64(obj: &Json, key: &str) -> Result<u64, String> {
     field(obj, key)?
         .as_u64()
         .ok_or_else(|| format!("field {key:?} is not a u64"))
@@ -534,22 +248,22 @@ fn req_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
 
 /// A `u64` field defaulting to 0 when absent — for summary fields added
 /// after artifacts were committed (missing field ≠ malformed file).
-fn opt_u64(obj: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match obj.iter().find(|(k, _)| k == key) {
+fn opt_u64(obj: &Json, key: &str) -> Result<u64, String> {
+    match obj.get(key) {
         None => Ok(0),
-        Some((_, v)) => v
+        Some(v) => v
             .as_u64()
             .ok_or_else(|| format!("field {key:?} is not a u64")),
     }
 }
 
-fn req_f64(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
+fn req_f64(obj: &Json, key: &str) -> Result<f64, String> {
     field(obj, key)?
         .as_f64()
         .ok_or_else(|| format!("field {key:?} is not a number"))
 }
 
-fn req_str<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
+fn req_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
     field(obj, key)?
         .as_str()
         .ok_or_else(|| format!("field {key:?} is not a string"))
@@ -601,7 +315,12 @@ pub fn parse_jsonl(text: &str) -> Result<TraceFile, String> {
         let ty = req_str(&obj, "type")
             .map_err(|e| format!("line {}: {e}", lineno + 1))?
             .to_string();
-        let keys: Vec<String> = obj.iter().map(|(k, _)| k.clone()).collect();
+        let keys: Vec<String> = obj
+            .as_object()
+            .unwrap_or_default()
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect();
         match out.field_order.get(&ty) {
             None => {
                 out.field_order.insert(ty.clone(), keys);
@@ -628,11 +347,11 @@ pub fn parse_jsonl(text: &str) -> Result<TraceFile, String> {
                     phase: TracePhase::from_str(req_str(&obj, "phase")?)
                         .ok_or("unknown phase")?,
                     window: req_f64(&obj, "window")?,
-                    dest_ms: field(&obj, "dest_ms")?.as_opt_f64()?,
-                    delay_ms: field(&obj, "delay_ms")?.as_opt_f64()?,
+                    dest_ms: opt_f64(field(&obj, "dest_ms")?)?,
+                    delay_ms: opt_f64(field(&obj, "delay_ms")?)?,
                     decision: DeltaDecision::from_str(req_str(&obj, "decision")?)
                         .ok_or("unknown decision")?,
-                    headroom: field(&obj, "headroom")?.as_opt_f64()?,
+                    headroom: opt_f64(field(&obj, "headroom")?)?,
                 }),
                 "packet" => out.packets.push(PacketRecord {
                     t_ns: req_u64(&obj, "t_ns")?,
@@ -641,7 +360,7 @@ pub fn parse_jsonl(text: &str) -> Result<TraceFile, String> {
                     seq: req_u64(&obj, "seq")?,
                     bytes: req_u64(&obj, "bytes")?,
                     window: req_f64(&obj, "window")?,
-                    rtt_ms: field(&obj, "rtt_ms")?.as_opt_f64()?,
+                    rtt_ms: opt_f64(field(&obj, "rtt_ms")?)?,
                 }),
                 "profile" => {
                     let Json::Arr(raw) = field(&obj, "samples")? else {
@@ -910,8 +629,18 @@ mod tests {
 
     #[test]
     fn non_finite_floats_serialize_as_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+        let mut r = Recorder::with_capacity(1, 1, 1);
+        r.on_packet(&PacketRecord {
+            t_ns: 1,
+            kind: PacketKind::Ack,
+            seq: 0,
+            bytes: 1,
+            window: f64::INFINITY,
+            rtt_ms: Some(f64::NAN),
+        });
+        let text = to_jsonl(&r, "netsim", "sim");
+        let packet = text.lines().nth(1).expect("packet line");
+        assert!(packet.ends_with(r#""window":null,"rtt_ms":null}"#), "{packet}");
+        assert_eq!(Json::from(1.5).to_string(), "1.5");
     }
 }

@@ -5,7 +5,8 @@
 //! events ([`PacketRecord`]) and delay-profile refits
 //! ([`ProfileSnapshot`]), captured through a [`TraceHandle`] the
 //! harness installs and exported as JSONL/CSV for paper-style timeline
-//! reconstruction (`trace_report` in `verus-bench`).
+//! reconstruction (`trace_report` in `verus-bench`). Its [`json`]
+//! module is the workspace's one JSON reader and writer.
 //!
 //! Design rules (see `DESIGN.md` §11):
 //!
@@ -25,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod export;
+pub mod json;
 pub mod lane;
 pub mod recorder;
 pub mod schema;

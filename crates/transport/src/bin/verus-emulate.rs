@@ -1,13 +1,13 @@
 //! `verus-emulate` — the trace-driven UDP channel emulator as a
 //! standalone process (the mahimahi `mm-link` substitute).
 //!
-//! Reads a trace (mahimahi text or this repo's JSON format, or a named
+//! Reads a trace (mahimahi text, or a named
 //! built-in scenario), then forwards UDP between a sender and a receiver
 //! while releasing data packets at the trace's delivery opportunities.
 //!
 //! ```bash
 //! verus-emulate --to <receiver-addr> [options]
-//!   --trace <file>        mahimahi (.mahi/.txt) or JSON trace file
+//!   --trace <file>        mahimahi trace file (.mahi/.txt)
 //!   --scenario <name>     campus|pedestrian|city|driving|highway|mall|waterfront
 //!   --operator <name>     etisalat3g|du3g|etisalatlte|dulte   (default etisalat3g)
 //!   --rtt <ms>            base RTT split across both directions (default 40)
@@ -55,12 +55,8 @@ fn operator_by_name(name: &str) -> Option<OperatorModel> {
 }
 
 fn load_trace_file(path: &str) -> Result<Trace, String> {
-    if path.ends_with(".json") {
-        Trace::load_json_path(path).map_err(|e| e.to_string())
-    } else {
-        let f = std::fs::File::open(path).map_err(|e| e.to_string())?;
-        Trace::load_mahimahi(path.to_string(), f).map_err(|e| e.to_string())
-    }
+    let f = std::fs::File::open(path).map_err(|e| e.to_string())?;
+    Trace::load_mahimahi(path.to_string(), f).map_err(|e| e.to_string())
 }
 
 fn main() {

@@ -1,10 +1,9 @@
 //! Transfer statistics for real-socket runs.
 
-use serde::{Deserialize, Serialize};
 use verus_stats::{StreamingStats, Summary, ThroughputSeries};
 
 /// What a [`crate::SupervisedSender`] measured over one transfer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransferStats {
     /// Protocol name.
     pub protocol: String,
@@ -20,7 +19,6 @@ pub struct TransferStats {
     /// numbers consumed, counted as sent, never transmitted — the
     /// transport-side analogue of the simulator's `shed_dropped` ledger
     /// column). Always 0 unless the supervisor's shed cap is set.
-    #[serde(default)]
     pub shed_dropped: u64,
     /// Acknowledged throughput in 1-second windows (bytes credited at
     /// ACK-arrival time).
@@ -30,7 +28,6 @@ pub struct TransferStats {
     pub delays_ms: Vec<f64>,
     /// Streaming delay statistics recorded alongside the raw samples
     /// (O(1) mean/quantiles even for very long transfers).
-    #[serde(default = "StreamingStats::for_delays_ms")]
     pub delay_stats: StreamingStats,
     /// Wall-clock duration of the transfer, seconds.
     pub duration_secs: f64,

@@ -138,6 +138,26 @@ jq -e '.schema == "verus-trace-report-v0"' "$trace_out/smoke_summary.json" > /de
   || { echo "trace_report summary malformed"; exit 1; }
 rm -rf "$trace_out"
 
+# Committed results: repro_all regenerates every figure's JSON and its
+# console log into a scratch VERUS_RESULTS, trace_report re-captures the
+# sample trace and re-derives its timeline, profile-evolution and
+# summary artifacts, and every file must equal the committed one byte
+# for byte, so a stale artifact fails here. (The EXPERIMENTS.md verdicts
+# are re-derived from the committed files by the tier-1 test
+# crates/bench/tests/experiments.rs.)
+cargo build --release -q -p verus-bench --bins
+regen="$(mktemp -d /tmp/verus_results.XXXXXX)"
+VERUS_RESULTS="$regen" target/release/repro_all > "$regen/repro_all_output.txt"
+VERUS_RESULTS="$regen" target/release/trace_report capture > /dev/null
+VERUS_RESULTS="$regen" target/release/trace_report report "$regen/sample_trace.jsonl" > /dev/null
+diff <(ls results) <(ls "$regen") \
+  || { echo "results/ and a fresh regeneration list different files"; exit 1; }
+for f in results/*; do
+  cmp -s "$f" "$regen/${f#results/}" \
+    || { echo "$f is stale against a fresh regeneration:"; diff "$f" "$regen/${f#results/}" | head; exit 1; }
+done
+rm -rf "$regen"
+
 # Benchmark self-check: perfbench (the repository's benchmark, see
 # BENCHMARK.json) runs each workload for one second and ends its output
 # with one JSON line. Its own correctness checks — every flow's ledger

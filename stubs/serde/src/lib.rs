@@ -1,10 +1,12 @@
 //! Offline stand-in for `serde`.
 //!
-//! The workspace derives `Serialize`/`Deserialize` widely but only
-//! *exercises* serialization through `serde_json`, whose stub fails
-//! politely (all JSON the repo's CI depends on is hand-rolled — see
-//! `verus-bench::output` and `verus-trace::export`). So the traits here
-//! are empty markers with blanket impls: every bound like
+//! **Unused.** No workspace source uses serde; JSON is read and written
+//! by `verus_trace::json`. This stub stays only because the eight crates
+//! `perfbench` links still list serde/serde_json in their manifests, and
+//! dropping those lines rewrites the tracked `perfbench/Cargo.lock`; the
+//! next benchmark change removes the lines and this crate.
+//!
+//! The traits are empty markers with blanket impls: every bound like
 //! `T: Serialize` is satisfied, every derive is a no-op, and nothing
 //! can actually serialize.
 

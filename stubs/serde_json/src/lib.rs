@@ -1,12 +1,12 @@
 //! Offline stand-in for `serde_json`.
 //!
-//! Real serialization needs the real derive machinery, which an offline
-//! container can't have; every entry point here returns
-//! [`Error::Unsupported`] instead. Call sites in this workspace already
-//! treat serialization as fallible and degrade gracefully
-//! (`verus-bench::output::write_json` warns; `verus-cellular`'s trace
-//! JSON I/O propagates the error), and everything CI validates with jq
-//! is written by hand-rolled formatters, not through this crate.
+//! **Unused.** No workspace source uses serde; JSON is read and written
+//! by `verus_trace::json`. This stub stays only because the eight crates
+//! `perfbench` links still list serde/serde_json in their manifests, and
+//! dropping those lines rewrites the tracked `perfbench/Cargo.lock`; the
+//! next benchmark change removes the lines and this crate.
+//!
+//! Every entry point returns [`Error::Unsupported`].
 
 use std::fmt;
 use std::io;
