@@ -128,8 +128,9 @@ fn every_marked_heading_has_a_check() {
     }
 }
 
-/// 🟡: the zoom window shows TTI-granular steps and the whole trace has
-/// a burst tail, but the band sits below the paper's 30–50 ms.
+/// 🟡: the zoom window shows TTI-granular steps whose band reaches the
+/// paper's 30 ms only at its top, and the whole trace has a tail (max
+/// above 2× the mean) but no burst tail (max above 4× the mean).
 #[test]
 fn figure_1_delay_steps_and_burst_tail() {
     let f = load("fig01_burst_arrivals");
@@ -142,12 +143,16 @@ fn figure_1_delay_steps_and_burst_tail() {
         .fold((f64::MAX, f64::MIN), |(a, b), &d| (a.min(d), b.max(d)));
     assert!(hi > lo, "zoom window delay is flat");
     assert!(
-        hi < 30.0,
-        "zoom band reaches the paper's 30 ms: upgrade Figure 1"
+        hi >= 30.0,
+        "zoom band back below the paper's 30 ms: update Figure 1"
     );
     let s = f.get("delay_summary").expect("summary");
     assert!(num(s, "p95") > num(s, "median"));
-    assert!(num(s, "max") > 4.0 * num(s, "mean"), "no burst tail");
+    assert!(num(s, "max") > 2.0 * num(s, "mean"), "no tail at all");
+    assert!(
+        num(s, "max") <= 4.0 * num(s, "mean"),
+        "burst tail (max above 4× the mean) is back: upgrade Figure 1"
+    );
 }
 
 /// ✅ LTE has more bursts and shorter gaps than 3G on both operators;
@@ -229,7 +234,8 @@ fn section_3_linear_prediction_is_worse_than_hold_last() {
     }
 }
 
-/// ✅ delay rises with the window across the sampled profile.
+/// 🟡 delay rises with the window across the sampled profile, but the top
+/// third of the curve sits less than 1.5× above the bottom third.
 #[test]
 fn figure_5_profile_rises_with_the_window() {
     let f = load("fig05_delay_profile");
@@ -238,7 +244,11 @@ fn figure_5_profile_rises_with_the_window() {
     let third = curve.len() / 3;
     let low = mean(&curve[..third].iter().map(|p| p.1).collect::<Vec<_>>());
     let high = mean(&curve[2 * third..].iter().map(|p| p.1).collect::<Vec<_>>());
-    assert!(high > 1.5 * low, "profile not rising: {low} → {high}");
+    assert!(high > low, "profile not rising: {low} → {high}");
+    assert!(
+        high <= 1.5 * low,
+        "profile rises 1.5×: upgrade Figure 5 ({low} → {high})"
+    );
 }
 
 /// ✅ the profile steepens when the channel slows: negative correlation.
@@ -297,9 +307,10 @@ fn figure_9_r_is_a_monotone_frontier() {
     }
 }
 
-/// ✅ Verus (R=2) an order of magnitude below Cubic in delay; Verus'
-/// per-flow spread tighter than Cubic's; the TCPs' spread widens under
-/// driving mobility.
+/// ✅ Verus' per-flow spread tighter than Cubic's. 🟡 Verus (R=2) an
+/// order of magnitude below Cubic in delay walking and in city driving,
+/// but only more than 5× on the highway; driving widens some TCP's
+/// spread, but not both TCPs' in both driving scenarios.
 #[test]
 fn figure_10_verus_low_delay_and_tight_spread() {
     let f = load("fig10_mobility_scatter");
@@ -307,19 +318,34 @@ fn figure_10_verus_low_delay_and_tight_spread() {
     for s in ["Campus pedestrian", "City driving", "Highway driving"] {
         let (verus, cubic) = (p(s, "verus (R=2)"), p(s, "cubic"));
         let gain = num(cubic, "mean_delay_ms") / num(verus, "mean_delay_ms");
-        assert!(gain >= 10.0, "{s}: delay gap {gain:.1}×");
+        if s == "Highway driving" {
+            assert!(gain > 5.0, "{s}: delay gap {gain:.1}×");
+            assert!(gain < 10.0, "{s}: delay gap {gain:.1}×: upgrade Figure 10");
+        } else {
+            assert!(gain >= 10.0, "{s}: delay gap {gain:.1}×");
+        }
         assert!(num(verus, "std_mbps") < num(cubic, "std_mbps"), "{s}");
     }
-    for tcp in ["cubic", "newreno"] {
-        let walk = num(p("Campus pedestrian", tcp), "std_mbps");
-        for s in ["City driving", "Highway driving"] {
-            assert!(num(p(s, tcp), "std_mbps") > walk, "{tcp} spread in {s}");
-        }
-    }
+    let widens = |tcp: &str, s: &str| {
+        num(p(s, tcp), "std_mbps") > num(p("Campus pedestrian", tcp), "std_mbps")
+    };
+    let pairs = ["cubic", "newreno"]
+        .iter()
+        .flat_map(|tcp| ["City driving", "Highway driving"].map(|s| (*tcp, s)));
+    assert!(
+        pairs.clone().any(|(tcp, s)| widens(tcp, s)),
+        "driving widens no TCP's spread"
+    );
+    let widened = pairs.clone().all(|(tcp, s)| widens(tcp, s));
+    assert!(
+        !widened,
+        "driving widens both TCPs' spread again: upgrade Figure 10"
+    );
 }
 
 /// ✅ orderings: Cubic degrades most from 2 to 20 users, NewReno least
-/// of the TCPs, and Verus is fairest at 20 users.
+/// of the TCPs. 🟡 Verus is the fairest from 2 to 15 users, but not at
+/// 20, where it stays above Cubic only.
 #[test]
 fn table_1_cubic_degrades_most() {
     let f = load("table1_jain_fairness");
@@ -333,7 +359,19 @@ fn table_1_cubic_degrades_most() {
     let drop = |proto: &str| jain_at(2, proto) - jain_at(20, proto);
     assert!(drop("cubic") > drop("newreno"));
     assert!(drop("cubic") > drop("verus (R=2)"));
-    assert!(jain_at(20, "verus (R=2)") > jain_at(20, "newreno"));
+    for users in [2, 5, 10, 15] {
+        for tcp in ["cubic", "newreno"] {
+            assert!(
+                jain_at(users, "verus (R=2)") > jain_at(users, tcp),
+                "Verus not fairer than {tcp} at {users} users"
+            );
+        }
+    }
+    assert!(jain_at(20, "verus (R=2)") > jain_at(20, "cubic"));
+    assert!(
+        jain_at(20, "verus (R=2)") <= jain_at(20, "newreno"),
+        "Verus fairest at 20 users again: upgrade Table 1"
+    );
     assert!(jain_at(20, "newreno") > jain_at(20, "cubic"));
 }
 
@@ -442,19 +480,27 @@ fn figure_14_verus_and_cubic_share_equally() {
 }
 
 /// ✅ the static profile loses throughput on average, and most on the
-/// stationary trace.
+/// stationary trace. 🟡 its average delay is lower, not higher; only on
+/// the stationary trace is its delay higher too.
 #[test]
 fn figure_15_static_profile_is_worse() {
     let f = load("fig15_static_profile");
     let avg = |k: &str| mean(&rows(&f).iter().map(|r| num(r, k)).collect::<Vec<_>>());
     assert!(avg("static_mbps") < avg("updating_mbps"));
-    assert!(avg("static_delay_ms") > avg("updating_delay_ms"));
+    assert!(
+        avg("static_delay_ms") <= avg("updating_delay_ms"),
+        "static profile's delay above the updating one's again: upgrade Figure 15"
+    );
     let loss = |r: &Json| 1.0 - num(r, "static_mbps") / num(r, "updating_mbps");
     let worst = rows(&f)
         .iter()
         .max_by(|a, b| loss(a).total_cmp(&loss(b)))
         .expect("rows");
     assert_eq!(text(worst, "scenario"), "Campus stationary");
+    assert!(
+        num(worst, "static_delay_ms") > num(worst, "updating_delay_ms"),
+        "static profile no slower on the stationary trace"
+    );
 }
 
 /// ✅ inside slow start (100 kB) and at 500 kB Verus ≈ Cubic; at 2 MB

@@ -208,66 +208,67 @@ fn overloaded_cell_outcome_is_pinned() {
     check(&actual, &CELL_DIGESTS);
 }
 
-// Pinned digests, computed before the per-TTI rate lookup table and the
-// allocation-free scheduler loop replaced the direct formula evaluation;
-// that optimisation is exact, so the values did not move.
+// Pinned digests, re-pinned when the ziggurat replaced Box–Muller as the
+// normal sampler (a deliberate fidelity change: every Gaussian draw, and
+// so every channel, moved). The per-TTI rate lookup table and the
+// allocation-free scheduler loop are exact and moved none of them.
 const PAPER_DIGESTS: [u64; 28] = [
-    0xcca6befeb9363b26, // Du 3G / Campus stationary
-    0x0ea3b5352d883856, // Etisalat 3G / Campus stationary
-    0x5db9e36ec88033cb, // Du LTE / Campus stationary
-    0x816bd9e2c0d666ea, // Etisalat LTE / Campus stationary
-    0x04382eea924f80b4, // Du 3G / Campus pedestrian
-    0xdb587a654741b39a, // Etisalat 3G / Campus pedestrian
-    0xc9bdfa9027eb3262, // Du LTE / Campus pedestrian
-    0xdb91505891f013df, // Etisalat LTE / Campus pedestrian
-    0x3f75e3e16996073a, // Du 3G / City stationary
-    0x968ae01f49490da0, // Etisalat 3G / City stationary
-    0xd1524577fbe4f040, // Du LTE / City stationary
-    0xf0ab7ec8aeffc0ee, // Etisalat LTE / City stationary
-    0xedcb29e5ab7eecd6, // Du 3G / City driving
-    0xcae315a753ab4b80, // Etisalat 3G / City driving
-    0x74e7484b56fcb15b, // Du LTE / City driving
-    0x028ab0598c4c1f54, // Etisalat LTE / City driving
-    0x29a165bd16727e9e, // Du 3G / Highway driving
-    0x56227887748263ed, // Etisalat 3G / Highway driving
-    0xad8dcb7587f9506d, // Du LTE / Highway driving
-    0x7df61c853738462c, // Etisalat LTE / Highway driving
-    0xfa40dd6331dae9aa, // Du 3G / Shopping mall
-    0x563fda50b2d51165, // Etisalat 3G / Shopping mall
-    0x48b8a653abed55e3, // Du LTE / Shopping mall
-    0x0bab1395fcf58a46, // Etisalat LTE / Shopping mall
-    0x364f0bbf313cf86f, // Du 3G / City waterfront
-    0x1491264ed9e09770, // Etisalat 3G / City waterfront
-    0xab384310c3bd46e3, // Du LTE / City waterfront
-    0x54d887a8702f737c, // Etisalat LTE / City waterfront
+    0xcc1e03ee35299303, // Du 3G / Campus stationary
+    0x8693031bc873bb35, // Etisalat 3G / Campus stationary
+    0x9e7c395e90256481, // Du LTE / Campus stationary
+    0x94250e4706b25279, // Etisalat LTE / Campus stationary
+    0x90405fd395b42508, // Du 3G / Campus pedestrian
+    0x07d3706f970a11da, // Etisalat 3G / Campus pedestrian
+    0x47c4fa17e9c8178b, // Du LTE / Campus pedestrian
+    0x5698b3aa1a26fc51, // Etisalat LTE / Campus pedestrian
+    0xed617c135f4e4c5e, // Du 3G / City stationary
+    0x97f517303f9d163e, // Etisalat 3G / City stationary
+    0xf1a7e1f31d170609, // Du LTE / City stationary
+    0x5c0c3ed8f11d133d, // Etisalat LTE / City stationary
+    0xf4a22c70e43b9470, // Du 3G / City driving
+    0xdba62b4b0afcaf3a, // Etisalat 3G / City driving
+    0x3a7933485e7c42f2, // Du LTE / City driving
+    0x46825940d9111ac1, // Etisalat LTE / City driving
+    0x8b47f2670a0dfe61, // Du 3G / Highway driving
+    0xe619dbd26b3eb7d5, // Etisalat 3G / Highway driving
+    0x524352beb90bcc3a, // Du LTE / Highway driving
+    0xa11ac0aa3bc77f92, // Etisalat LTE / Highway driving
+    0xe80554546ce4f4f8, // Du 3G / Shopping mall
+    0x31f6a5a6fb0b825d, // Etisalat 3G / Shopping mall
+    0x0d70f42f29b9eb06, // Du LTE / Shopping mall
+    0xabe85ab157d41415, // Etisalat LTE / Shopping mall
+    0x4b5d760faaf584e0, // Du 3G / City waterfront
+    0x729d466d117f119e, // Etisalat 3G / City waterfront
+    0x36f89fc48c55273b, // Du LTE / City waterfront
+    0x2a819eed04139708, // Etisalat LTE / City waterfront
 ];
 
 // Blackout recovery shares Campus stationary's channel (stationary
 // fading, one 0.5 Mbit/s CBR neighbour), so at one seed and operator the
 // two traces coincide.
 const STRESS_DIGESTS: [u64; 3] = [
-    0x2aad9877e55e604d, // Etisalat 3G / Handover storm
-    0x31dc5fb4b136d588, // Etisalat 3G / Deep-buffer multi-user
-    0x0ea3b5352d883856, // Etisalat 3G / Blackout recovery
+    0x491a7f0f58586565, // Etisalat 3G / Handover storm
+    0x7b9dff22c5f03b21, // Etisalat 3G / Deep-buffer multi-user
+    0x8693031bc873bb35, // Etisalat 3G / Blackout recovery
 ];
 
-const LONG_LTE_DIGEST: u64 = 0x80416b5af7c43791; // Etisalat LTE / City driving, 30 s
+const LONG_LTE_DIGEST: u64 = 0xb885d1b166655320; // Etisalat LTE / City driving, 30 s
 
 const CELL_DIGESTS: [u64; 3] = [
-    0x768f04997d332914, // user 0 (overloaded CBR)
-    0x81a734675e14db7a, // user 1 (saturated)
-    0x77533b3ebb3c5edc, // user 2 (ON/OFF)
+    0x7b53aa2018b09f3a, // user 0 (overloaded CBR)
+    0x62952119341c9588, // user 1 (saturated)
+    0x93d38de6b3de0267, // user 2 (ON/OFF)
 ];
 
 const SNR_DIGESTS: [u64; 10] = [
-    0x0474af1b41c2dc6f, // stationary / LTE
-    0x6b5c152c849352f4, // stationary / HSPA
-    0x7b7c560a3ed54404, // pedestrian / LTE
-    0xab4fcb86dd74be60, // pedestrian / HSPA
-    0xd0d8031bfd007a46, // driving / LTE
-    0xb0209c67f81faf3e, // driving / HSPA
-    0x7bee5648cf3b7802, // Handover storm / LTE
-    0x86544e254d6f3948, // Handover storm / HSPA
-    0x4161b09370dfa8bb, // Deep-buffer multi-user / LTE
-    0xb28c302266af31f5, // Deep-buffer multi-user / HSPA
+    0xa82b6d50dd2377d8, // stationary / LTE
+    0xca530c331529b6a2, // stationary / HSPA
+    0x2f5ef117f3fd03dd, // pedestrian / LTE
+    0x7257030168bf06e6, // pedestrian / HSPA
+    0x4d1e71e819a06b62, // driving / LTE
+    0xa15ed12a5abeae23, // driving / HSPA
+    0xe25a1e02d65ebaa8, // Handover storm / LTE
+    0x8e86b91c033fd838, // Handover storm / HSPA
+    0x0edab9228c151ecc, // Deep-buffer multi-user / LTE
+    0x7c6e683052d8a417, // Deep-buffer multi-user / HSPA
 ];

@@ -1,340 +1,275 @@
-//! Random-variate sampling for the synthetic channel models.
+//! Standard-normal sampling for the synthetic channel models.
 //!
-//! The cellular substrate (crate `verus-cellular`) draws burst sizes,
-//! inter-arrival gaps, shadowing processes and loss events from a small set
-//! of distributions. `rand` 0.8 only ships uniform/Bernoulli sampling, so
-//! the classical transforms are implemented here:
+//! The cellular substrate (crate `verus-cellular`) drives its fading,
+//! shadowing and drift processes with Gaussian innovations, two or three
+//! per user per TTI. `rand` 0.8 only ships uniform sampling, so
+//! [`Normal::standard`] implements the ziggurat of Marsaglia & Tsang
+//! ("The Ziggurat Method for Generating Random Variables", J. Stat.
+//! Softw. 5(8), 2000) with 256 layers:
 //!
-//! * [`Normal`] — Box–Muller (the cached-second-variate variant);
-//! * [`LogNormal`] — `exp` of a normal;
-//! * [`Exponential`] — inverse CDF;
-//! * [`Poisson`] — Knuth's product method for small means, with a
-//!   normal approximation above `mean > 60` (the channel models draw
-//!   per-TTI packet counts whose mean can reach the hundreds);
-//! * [`Pareto`] — inverse CDF, used for heavy-tailed burst sizes.
+//! * one `u64` per attempt: its low 8 bits pick the layer `i`, its high
+//!   53 bits give `u ∈ [−1, 1)` (the two sets of bits are disjoint);
+//! * `x = u·X[i]` is accepted at once when `|x| < X[i+1]`, which is
+//!   98.5 % of attempts;
+//! * otherwise layer 0 draws from the tail beyond `R` (Marsaglia's
+//!   exponential method), and every other layer accepts `x` when a
+//!   uniform height in the layer lies under the density:
+//!   `F[i+1] + (F[i]−F[i+1])·U < exp(−x²/2)`.
 //!
-//! All samplers are deterministic given a seeded RNG, which keeps the whole
-//! evaluation pipeline reproducible run-to-run.
+//! The tables come from the recurrence `X[i]·(F[i+1] − F[i]) = V` (every
+//! layer has area `V`) and are computed once per process. The sampler is
+//! deterministic given a seeded RNG, which keeps the whole evaluation
+//! pipeline reproducible run to run.
 
 use rand::Rng;
+use std::sync::OnceLock;
 
-/// Common interface: a distribution that can produce `f64` samples.
-pub trait Sample {
-    /// Draws one variate using `rng`.
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64;
+/// Number of ziggurat layers.
+const LAYERS: usize = 256;
+/// Right edge of the base layer's rectangle; the tail lies beyond it.
+const R: f64 = 3.654_152_885_361_009;
+/// Area of every layer (and of the base strip including the tail) under
+/// the unnormalized density `exp(−x²/2)`.
+const V: f64 = 4.928_673_233_992_336e-3;
+
+/// Layer edges `x` and the density `f = exp(−x²/2)` at each edge.
+struct Tables {
+    /// `x[0] = V / f(R)` (the base strip's pseudo-width), `x[1] = R`,
+    /// strictly decreasing to `x[LAYERS] = 0`.
+    x: [f64; LAYERS + 1],
+    /// `f[i] = exp(−x[i]²/2)` for `i ≥ 1`, and `f[0] = 0` so the base
+    /// strip's area is `x[0]·(f[1] − f[0])` like every other layer's.
+    f: [f64; LAYERS + 1],
 }
 
-/// Normal (Gaussian) distribution via the Box–Muller transform.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
+fn density(x: f64) -> f64 {
+    (-0.5 * x * x).exp()
 }
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut x = [0.0; LAYERS + 1];
+        let mut f = [0.0; LAYERS + 1];
+        x[0] = V / density(R);
+        x[1] = R;
+        f[1] = density(R);
+        for i in 1..LAYERS - 1 {
+            x[i + 1] = (-2.0 * (V / x[i] + f[i]).ln()).sqrt();
+            f[i + 1] = density(x[i + 1]);
+        }
+        // The top layer's apex: x = 0 exactly, where the density is 1.
+        x[LAYERS] = 0.0;
+        f[LAYERS] = 1.0;
+        Tables { x, f }
+    })
+}
+
+/// The standard normal distribution `N(0, 1)`; scale and shift a draw for
+/// any other mean and standard deviation.
+#[derive(Debug, Clone, Copy)]
+pub struct Normal;
 
 impl Normal {
-    /// Creates a normal distribution with the given mean and standard
-    /// deviation.
-    ///
-    /// # Panics
-    /// Panics if `std_dev` is negative or either parameter is non-finite.
-    #[must_use]
-    pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(mean.is_finite(), "normal mean must be finite");
-        assert!(
-            std_dev.is_finite() && std_dev >= 0.0,
-            "normal std-dev must be finite and non-negative, got {std_dev}"
-        );
-        Self { mean, std_dev }
-    }
-
-    /// Draws a standard-normal variate.
-    pub fn standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-        // Box–Muller: u1 must avoid 0 so ln(u1) is finite.
-        let u1: f64 = loop {
-            let u: f64 = rng.gen();
-            if u > f64::MIN_POSITIVE {
-                break u;
-            }
-        };
-        let u2: f64 = rng.gen();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-}
-
-impl Sample for Normal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.std_dev * Self::standard(rng)
-    }
-}
-
-/// Log-normal distribution: `exp(N(mu, sigma))`.
-///
-/// `mu`/`sigma` are the parameters of the *underlying normal*, the usual
-/// convention. Burst inter-arrival gaps in the channel models are
-/// log-normal, matching the long right tail of Figure 2b.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    norm: Normal,
-}
-
-impl LogNormal {
-    /// Creates a log-normal distribution with underlying normal `N(mu, sigma)`.
-    #[must_use]
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        Self {
-            norm: Normal::new(mu, sigma),
-        }
-    }
-
-    /// Creates a log-normal from the desired *median* and `sigma`.
-    ///
-    /// The median of `exp(N(mu, sigma))` is `exp(mu)`, so this is just a
-    /// more readable constructor for channel-model code.
-    #[must_use]
-    pub fn from_median(median: f64, sigma: f64) -> Self {
-        assert!(median > 0.0, "log-normal median must be positive");
-        Self::new(median.ln(), sigma)
-    }
-}
-
-impl Sample for LogNormal {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.norm.sample(rng).exp()
-    }
-}
-
-/// Exponential distribution with rate `lambda` (mean `1/lambda`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    lambda: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with rate `lambda > 0`.
-    #[must_use]
-    pub fn new(lambda: f64) -> Self {
-        assert!(
-            lambda.is_finite() && lambda > 0.0,
-            "exponential rate must be positive, got {lambda}"
-        );
-        Self { lambda }
-    }
-
-    /// Creates an exponential distribution with the given mean.
-    #[must_use]
-    pub fn from_mean(mean: f64) -> Self {
-        assert!(mean > 0.0, "exponential mean must be positive");
-        Self::new(1.0 / mean)
-    }
-}
-
-impl Sample for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = loop {
-            let u: f64 = rng.gen();
-            if u > f64::MIN_POSITIVE {
-                break u;
-            }
-        };
-        -u.ln() / self.lambda
-    }
-}
-
-/// Poisson distribution over non-negative integers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    mean: f64,
-}
-
-impl Poisson {
-    /// Mean above which the normal approximation is used instead of Knuth's
-    /// product method (which needs `O(mean)` uniforms per draw).
-    const NORMAL_APPROX_THRESHOLD: f64 = 60.0;
-
-    /// Creates a Poisson distribution with the given mean `>= 0`.
-    #[must_use]
-    pub fn new(mean: f64) -> Self {
-        assert!(
-            mean.is_finite() && mean >= 0.0,
-            "poisson mean must be non-negative, got {mean}"
-        );
-        Self { mean }
-    }
-
-    /// Draws an integer-valued sample.
-    pub fn sample_u64<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.mean == 0.0 {
-            return 0;
-        }
-        if self.mean > Self::NORMAL_APPROX_THRESHOLD {
-            // Normal approximation with continuity correction.
-            let x = self.mean + self.mean.sqrt() * Normal::standard(rng) + 0.5;
-            return x.max(0.0) as u64;
-        }
-        // Knuth: multiply uniforms until the product drops below e^-mean.
-        let threshold = (-self.mean).exp();
-        let mut k: u64 = 0;
-        let mut p = 1.0;
+    /// Draws a standard-normal variate with the ziggurat method.
+    pub fn standard<G: Rng + ?Sized>(rng: &mut G) -> f64 {
+        let t = tables();
         loop {
-            p *= rng.gen::<f64>();
-            if p <= threshold {
-                return k;
+            let bits: u64 = rng.gen();
+            let i = (bits & 0xff) as usize;
+            // 53 high bits → [0, 2) in steps of 2^-52, shifted to [−1, 1).
+            let u = (bits >> 11) as f64 * (1.0 / 4_503_599_627_370_496.0) - 1.0;
+            let x = u * t.x[i];
+            if x.abs() < t.x[i + 1] {
+                return x;
             }
-            k += 1;
+            if i == 0 {
+                return Self::tail(rng, u < 0.0);
+            }
+            let y = t.f[i + 1] + (t.f[i] - t.f[i + 1]) * rng.gen::<f64>();
+            if y < density(x) {
+                return x;
+            }
         }
     }
-}
 
-impl Sample for Poisson {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample_u64(rng) as f64
-    }
-}
-
-/// Pareto (type I) distribution with scale `x_min` and shape `alpha`.
-///
-/// Used for heavy-tailed burst sizes: cellular schedulers occasionally hand
-/// a user many TTIs in a row, producing the multi-decade burst-size PDF of
-/// Figure 2a.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution with scale `x_min > 0`, shape `alpha > 0`.
-    #[must_use]
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0, "pareto scale must be positive");
-        assert!(alpha > 0.0, "pareto shape must be positive");
-        Self { x_min, alpha }
-    }
-}
-
-impl Sample for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = loop {
-            let u: f64 = rng.gen();
-            if u > f64::MIN_POSITIVE {
-                break u;
+    /// A variate from the normal tail beyond `R` (Marsaglia 1964): draw
+    /// `x ~ Exp(R)` and `y ~ Exp(1)` until `2y > x²`, then return `R + x`.
+    fn tail<G: Rng + ?Sized>(rng: &mut G, negative: bool) -> f64 {
+        loop {
+            // 1 − U lies in (0, 1], so both logarithms are finite.
+            let x = -(1.0 - rng.gen::<f64>()).ln() / R;
+            let y = -(1.0 - rng.gen::<f64>()).ln();
+            if 2.0 * y > x * x {
+                return if negative { -(R + x) } else { R + x };
             }
-        };
-        self.x_min / u.powf(1.0 / self.alpha)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::running::Running;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn moments<D: Sample>(d: &D, n: usize, seed: u64) -> Running {
+    /// Draws per statistical test. Miri interprets every draw, so it
+    /// runs the same checks at a size it can afford; the bounds below
+    /// scale with `N`, and the full-size run keeps the statistical power.
+    const N: usize = if cfg!(miri) { 10_000 } else { 1_000_000 };
+
+    fn draws(seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut r = Running::new();
-        for _ in 0..n {
-            r.push(d.sample(&mut rng));
+        (0..N).map(|_| Normal::standard(&mut rng)).collect()
+    }
+
+    /// Complementary error function, Chebyshev fit with fractional error
+    /// below 1.2e-7 everywhere (Press et al., *Numerical Recipes*, §6.2).
+    fn erfc(x: f64) -> f64 {
+        let z = x.abs();
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let poly = -z * z - 1.265_512_23
+            + t * (1.000_023_68
+                + t * (0.374_091_96
+                    + t * (0.096_784_18
+                        + t * (-0.186_288_06
+                            + t * (0.278_868_07
+                                + t * (-1.135_203_98
+                                    + t * (1.488_515_87
+                                        + t * (-0.822_152_23 + t * 0.170_872_77))))))));
+        let r = t * poly.exp();
+        if x >= 0.0 {
+            r
+        } else {
+            2.0 - r
         }
-        r
+    }
+
+    fn normal_cdf(x: f64) -> f64 {
+        0.5 * erfc(-x / std::f64::consts::SQRT_2)
+    }
+
+    #[test]
+    fn erfc_matches_known_values() {
+        // erfc at 0, 1, 2, 3/√2 and 4/√2 (the last two give the tail masses).
+        let cases = [
+            (0.0, 1.0),
+            (1.0, 0.157_299_207_050_285_13),
+            (2.0, 4.677_734_981_047_266e-3),
+            (3.0 / std::f64::consts::SQRT_2, 2.699_796_063_260_207e-3),
+            (4.0 / std::f64::consts::SQRT_2, 6.334_248_366_623_996e-5),
+            (-1.0, 1.842_700_792_949_715),
+        ];
+        for (x, want) in cases {
+            let got = erfc(x);
+            assert!(
+                ((got - want) / want).abs() <= 1.2e-7,
+                "erfc({x}) = {got}, want {want}"
+            );
+        }
     }
 
     #[test]
     fn normal_moments_match() {
-        let r = moments(&Normal::new(5.0, 2.0), 200_000, 1);
-        assert!((r.mean() - 5.0).abs() < 0.05, "mean {}", r.mean());
-        assert!((r.std_dev() - 2.0).abs() < 0.05, "std {}", r.std_dev());
-    }
-
-    #[test]
-    fn zero_std_normal_is_constant() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let d = Normal::new(3.0, 0.0);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 3.0);
-        }
-    }
-
-    #[test]
-    fn lognormal_median_matches() {
-        let d = LogNormal::from_median(10.0, 0.8);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut samples: Vec<f64> = (0..100_001).map(|_| d.sample(&mut rng)).collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let median = samples[samples.len() / 2];
-        assert!((median - 10.0).abs() / 10.0 < 0.05, "median {median}");
-    }
-
-    #[test]
-    fn lognormal_is_positive() {
-        let d = LogNormal::new(0.0, 2.0);
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) > 0.0);
-        }
-    }
-
-    #[test]
-    fn exponential_mean_matches() {
-        let r = moments(&Exponential::from_mean(7.5), 200_000, 5);
-        assert!((r.mean() - 7.5).abs() < 0.1, "mean {}", r.mean());
-    }
-
-    #[test]
-    fn poisson_small_mean_moments() {
-        let d = Poisson::new(3.2);
-        let r = moments(&d, 200_000, 6);
-        assert!((r.mean() - 3.2).abs() < 0.05, "mean {}", r.mean());
-        // Poisson variance equals the mean.
-        assert!((r.variance() - 3.2).abs() < 0.15, "var {}", r.variance());
-    }
-
-    #[test]
-    fn poisson_large_mean_uses_normal_approx() {
-        let d = Poisson::new(500.0);
-        let r = moments(&d, 100_000, 7);
-        assert!((r.mean() - 500.0).abs() < 1.0, "mean {}", r.mean());
+        let xs = draws(1);
+        let n = N as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let m2 = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+        let m4 = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / n;
+        let kurtosis = m4 / (m2 * m2);
+        // Bounds are 5 standard errors: 1/√n, √(2/n) and √(24/n).
+        assert!(mean.abs() < 5.0 / n.sqrt(), "mean {mean}");
+        assert!((m2 - 1.0).abs() < 5.0 * (2.0 / n).sqrt(), "variance {m2}");
         assert!(
-            (r.variance() - 500.0).abs() < 20.0,
-            "var {}",
-            r.variance()
+            (kurtosis - 3.0).abs() < 5.0 * (24.0 / n).sqrt(),
+            "kurtosis {kurtosis}"
         );
     }
 
     #[test]
-    fn poisson_zero_mean_is_zero() {
-        let mut rng = StdRng::seed_from_u64(8);
-        assert_eq!(Poisson::new(0.0).sample_u64(&mut rng), 0);
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let d = Pareto::new(2.0, 1.5);
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 2.0);
+    fn tail_masses_match() {
+        let xs = draws(2);
+        let n = N as f64;
+        for (k, p) in [(3.0, 2.699_8e-3), (4.0, 6.334e-5)] {
+            let observed = xs.iter().filter(|x| x.abs() > k).count() as f64 / n;
+            let sd = (p * (1.0 - p) / n).sqrt();
+            assert!(
+                (observed - p).abs() <= 4.0 * sd,
+                "P(|x| > {k}) = {observed}, want {p} ± {}",
+                4.0 * sd
+            );
         }
     }
 
     #[test]
-    fn pareto_mean_matches_when_it_exists() {
-        // mean = alpha * x_min / (alpha - 1) for alpha > 1.
-        let d = Pareto::new(1.0, 3.0);
-        let r = moments(&d, 400_000, 10);
-        assert!((r.mean() - 1.5).abs() < 0.02, "mean {}", r.mean());
+    fn apex_mass_matches() {
+        // The top layer spans |x| < X[255] and decides each of its draws
+        // by the wedge test alone; a wedge that accepts the wrong side of
+        // the curve moves those draws from the inner half outwards.
+        let xs = draws(4);
+        let n = N as f64;
+        let edge = tables().x[LAYERS - 1];
+        for k in [0.5 * edge, edge] {
+            let p = 1.0 - erfc(k / std::f64::consts::SQRT_2);
+            let observed = xs.iter().filter(|x| x.abs() < k).count() as f64 / n;
+            let sd = (p * (1.0 - p) / n).sqrt();
+            assert!(
+                (observed - p).abs() <= 4.0 * sd,
+                "P(|x| < {k}) = {observed}, want {p} ± {}",
+                4.0 * sd
+            );
+        }
+    }
+
+    #[test]
+    fn kolmogorov_smirnov_accepts_normal_cdf() {
+        let mut xs = draws(3);
+        xs.sort_by(f64::total_cmp);
+        let n = N as f64;
+        let d = xs
+            .iter()
+            .enumerate()
+            .map(|(k, &x)| {
+                let cdf = normal_cdf(x);
+                (cdf - k as f64 / n).max((k + 1) as f64 / n - cdf)
+            })
+            .fold(0.0, f64::max);
+        // The 1 % critical value of the one-sample KS statistic.
+        assert!(d < 1.63 / n.sqrt(), "KS statistic {d}");
+    }
+
+    #[test]
+    fn tables_tile_the_density() {
+        let t = tables();
+        assert_eq!(t.x[1].to_bits(), R.to_bits());
+        assert_eq!(t.x[LAYERS].to_bits(), 0.0_f64.to_bits());
+        assert!(
+            t.x.windows(2).all(|w| w[0] > w[1]),
+            "X not strictly decreasing"
+        );
+        for i in 0..LAYERS - 1 {
+            let area = t.x[i] * (t.f[i + 1] - t.f[i]);
+            assert!((area - V).abs() < 1e-12, "layer {i}: area {area}");
+        }
+        // The top layer is whatever the recurrence leaves under the apex;
+        // R and V as published close it to 5.6e-12 (1.1e-9 of V).
+        let top = t.x[LAYERS - 1] * (1.0 - t.f[LAYERS - 1]);
+        assert!((top - V).abs() < 1e-11, "top layer: area {top}");
+        // The base strip is R·f(R) plus the tail ∫_R^∞ f = √(π/2)·erfc(R/√2).
+        let half_pi = std::f64::consts::FRAC_PI_2;
+        let base = R * density(R) + half_pi.sqrt() * erfc(R / std::f64::consts::SQRT_2);
+        assert!(((base - V) / V).abs() < 1e-6, "base strip {base} vs V {V}");
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let d = Normal::new(0.0, 1.0);
         let a: Vec<f64> = {
             let mut rng = StdRng::seed_from_u64(42);
-            (0..32).map(|_| d.sample(&mut rng)).collect()
+            (0..32).map(|_| Normal::standard(&mut rng)).collect()
         };
         let b: Vec<f64> = {
             let mut rng = StdRng::seed_from_u64(42);
-            (0..32).map(|_| d.sample(&mut rng)).collect()
+            (0..32).map(|_| Normal::standard(&mut rng)).collect()
         };
         assert_eq!(a, b);
     }

@@ -6,8 +6,8 @@
 //!
 //! * [`ewma`] — exponentially weighted moving averages (paper Eq. 2 and the
 //!   delay-profile point updates of §5.1 are both EWMAs);
-//! * [`dist`] — random-variate sampling (normal, log-normal, exponential,
-//!   Poisson, Pareto) used by the synthetic cellular channel models;
+//! * [`dist`] — the standard-normal sampler (a 256-layer ziggurat) that
+//!   drives the synthetic cellular channel models' fading processes;
 //! * [`histogram`] — linear- and log-binned histograms / empirical PDFs
 //!   (Figure 2 plots PDFs of burst size and inter-arrival time on log axes);
 //! * [`quantile`] — percentiles and summary statistics;
@@ -32,7 +32,7 @@ pub mod running;
 pub mod stream;
 pub mod timeseries;
 
-pub use dist::{Exponential, LogNormal, Normal, Pareto, Poisson};
+pub use dist::Normal;
 pub use ewma::Ewma;
 pub use histogram::{Histogram, LogHistogram};
 pub use jain::jain_index;

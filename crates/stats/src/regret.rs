@@ -28,11 +28,18 @@
 //!   the omniscient bound, but measurement noise on a near-optimal run
 //!   must not report a (meaningless) negative regret.
 
-/// Default delay weight `δ`: one second of p95 queueing delay costs as
-/// much utility as e-folding the throughput ≈ 10 times. Strongly
-/// delay-averse, per the interactive-application framing of both the
-/// Verus and ABC papers.
-pub const DEFAULT_DELTA: f64 = 10.0;
+/// Default delay weight `δ`: one second of p95 delay costs as much
+/// utility as one e-fold of throughput.
+///
+/// The weight must leave the omniscient bound a positive utility on
+/// every channel it scores, or regret there is 0 for everyone and the
+/// channel judges nobody. A single sender cannot avoid propagation and
+/// serialization delay, so on a slow cell even the oracle pays: at
+/// 0.7 Mbit/s with an 86 ms p95, `log1p(0.7)/0.086` caps δ at 6.2/s,
+/// and 10/s would clamp such a cell to 0. δ = 1/s is the largest power
+/// of ten under that cap; it still charges a multi-second bufferbloat
+/// p95 more than any cellular throughput earns.
+pub const DEFAULT_DELTA: f64 = 1.0;
 
 /// The `log(1+throughput) − δ·delay` utility, clamped at 0 from below.
 ///
@@ -85,8 +92,8 @@ mod tests {
 
     #[test]
     fn delay_swamped_utility_clamps_at_zero() {
-        // log1p(1) ≈ 0.69 < 10 · 0.5.
-        assert_eq!(utility(1.0, 0.5, DEFAULT_DELTA), 0.0);
+        // log1p(1) ≈ 0.69 < 1 · 1.0.
+        assert_eq!(utility(1.0, 1.0, DEFAULT_DELTA), 0.0);
     }
 
     #[test]

@@ -59,7 +59,10 @@ rm -f "$recv_log"
 # non-zero on a miss). Written to scratch; jq then re-checks the SLO
 # verdicts from the record, and the committed CHAOS_0.json (a reviewed
 # artifact from the full 30 s soak, byte-stable across same-seed runs)
-# is validated structurally the same way.
+# is validated structurally the same way. A fresh full soak (~30 s)
+# must then reproduce the committed record's sim half exactly (it is
+# seeded simulation); the transport half holds only the SLO verdicts the
+# jq gate above already checks.
 chaos_out="$(mktemp /tmp/bench_chaos.XXXXXX.json)"
 VERUS_BENCH_OUT="$chaos_out" cargo run --release -q -p verus-bench --bin bench_chaos -- --smoke
 chaos_jq='
@@ -80,17 +83,22 @@ jq -e "$chaos_jq and .smoke" "$chaos_out" > /dev/null \
   || { echo "chaos smoke emitted a malformed record or missed an SLO:"; cat "$chaos_out"; exit 1; }
 jq -e "$chaos_jq and (.smoke | not)" CHAOS_0.json > /dev/null \
   || { echo "committed CHAOS_0.json malformed or below the recovery SLOs"; exit 1; }
+VERUS_BENCH_OUT="$chaos_out" cargo run --release -q -p verus-bench --bin bench_chaos > /dev/null
+jq -e --slurpfile fresh "$chaos_out" '.sim == $fresh[0].sim' CHAOS_0.json > /dev/null \
+  || { echo "CHAOS_0.json's sim half is stale against a fresh full soak:";
+       diff <(jq -S .sim CHAOS_0.json) <(jq -S .sim "$chaos_out"); exit 1; }
 rm -f "$chaos_out"
 
 # Tournament smoke: the baseline tournament (every protocol × scenario,
 # scored against the omniscient bound) on its 3-scenario smoke grid.
-# Run twice to scratch paths — the artifact is hand-rolled fixed-
-# precision JSON from a seeded simulation, so the two runs must be
-# byte-identical. jq then gates the contract on the smoke record and on
-# the committed TOURNAMENT_0.json (the reviewed full 8 × 10 grid):
-# the oracle's regret is *exactly* 0 in every scenario (its utility is
-# the denominator), every other regret lies in [0, 1], and every cell
-# delivered traffic.
+# Run twice to temporary paths — the artifact is fixed-precision JSON
+# from a seeded simulation, so the two runs must be byte-identical. A
+# fresh full run (~1 s) must equal the committed TOURNAMENT_0.json (the
+# reviewed full 8 × 10 grid) byte for byte. jq then gates the contract
+# on the smoke record and on the committed one: the oracle's regret is
+# *exactly* 0 in every scenario (its utility is the denominator), every
+# other regret lies in [0, 1], every cell delivered traffic, and every
+# scenario's optimum is positive.
 tourn_out="$(mktemp /tmp/bench_tournament.XXXXXX.json)"
 tourn_out2="$(mktemp /tmp/bench_tournament.XXXXXX.json)"
 VERUS_BENCH_OUT="$tourn_out" cargo run --release -q -p verus-bench --bin bench_tournament -- --smoke
@@ -110,6 +118,9 @@ tourn_jq='
 '
 jq -e "$tourn_jq and .smoke and (.scenarios | length == 3)" "$tourn_out" > /dev/null \
   || { echo "tournament smoke emitted a malformed record:"; cat "$tourn_out"; exit 1; }
+VERUS_BENCH_OUT="$tourn_out2" cargo run --release -q -p verus-bench --bin bench_tournament > /dev/null
+cmp -s TOURNAMENT_0.json "$tourn_out2" \
+  || { echo "TOURNAMENT_0.json is stale against a fresh full run:"; diff TOURNAMENT_0.json "$tourn_out2" | head; exit 1; }
 jq -e "$tourn_jq and (.smoke | not) and (.scenarios | length == 10)
        and ([.scenarios[].kind] | unique | sort == [\"paper\", \"stress\"])" TOURNAMENT_0.json > /dev/null \
   || { echo "committed TOURNAMENT_0.json malformed or below acceptance"; exit 1; }
