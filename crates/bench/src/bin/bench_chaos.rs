@@ -3,8 +3,8 @@
 //!
 //! The resilience contract the session layer (DESIGN.md §12) makes:
 //! after every outage window ends, the system is *measurably back* —
-//! the simulator delivers packets again, and the supervised transport
-//! sender re-enters `Established` — within a fixed budget derived from
+//! the simulator delivers packets again, and the transport sender's
+//! session re-enters `Established` — within a fixed budget derived from
 //! the reconnect backoff cap:
 //!
 //! ```text
@@ -28,7 +28,7 @@
 //!   substrates; sim = first delivered throughput window, transport =
 //!   first `Established` transition);
 //! * zero stuck flows — the sim flow delivers after the last outage,
-//!   the supervised session ends `Closed` having reached `Established`;
+//!   the transport session ends `Closed` having reached `Established`;
 //! * the conservation ledger balances, including the overload guard's
 //!   `shed_dropped` column.
 //!
@@ -45,8 +45,8 @@ use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::{SimDuration, SimTime};
 use verus_trace::json::Json;
 use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, SessionConfig, SessionState,
-    SupervisedSender, SupervisorConfig, WallClock,
+    Emulator, EmulatorConfig, FlowSpec, Receiver, SessionConfig, SessionState, ShardServer,
+    ShardServerConfig, WallClock,
 };
 
 const SEED: u64 = 21;
@@ -166,7 +166,8 @@ struct TransportOutcome {
     ledger_consistent: bool,
 }
 
-/// Runs the supervised sender through an impaired emulator and judges
+/// Runs one unbounded flow on a one-shard server through an impaired
+/// emulator and judges
 /// the recovery SLO from the session transition log: for each blackout
 /// end, the first `Established` edge at or after it.
 fn transport_soak(sched: &ChaosSchedule, duration: Duration) -> std::io::Result<TransportOutcome> {
@@ -178,17 +179,27 @@ fn transport_soak(sched: &ChaosSchedule, duration: Duration) -> std::io::Result<
     emu_config.impairments = impairments;
     let emulator = Emulator::spawn(emu_config, clock)?;
 
-    let mut config = SupervisorConfig::new(SenderConfig::new(emulator.ingress_addr(), duration));
-    config.session = SessionConfig {
-        idle_degraded: SimDuration::from_millis(300),
-        degraded_grace: SimDuration::from_millis(200),
-        drain_timeout: SimDuration::from_secs(2),
-        backoff_base: SimDuration::from_millis(50),
-        backoff_cap: BACKOFF_CAP,
-        seed: SEED,
-        session_id: 0,
+    let server = ShardServer::new(ShardServerConfig {
+        deadline: SimDuration::from_std(duration),
+        stagger: SimDuration::ZERO,
+        session: SessionConfig {
+            idle_degraded: SimDuration::from_millis(300),
+            degraded_grace: SimDuration::from_millis(200),
+            drain_timeout: SimDuration::from_secs(2),
+            backoff_base: SimDuration::from_millis(50),
+            backoff_cap: BACKOFF_CAP,
+            seed: SEED,
+            session_id: 0,
+        },
+        ..ShardServerConfig::default()
+    });
+    let flow = FlowSpec {
+        flow: 0,
+        dest: emulator.ingress_addr(),
+        packets: u64::MAX,
+        cc: Box::new(VerusCc::default()),
     };
-    let report = SupervisedSender::new(config, clock).run(Box::new(VerusCc::default()))?;
+    let report = server.run(vec![flow], clock)?.flows.remove(0);
     emulator.stop();
     receiver.stop();
 

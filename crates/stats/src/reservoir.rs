@@ -39,6 +39,12 @@ impl Reservoir {
         }
     }
 
+    /// Allocates the storage for all `cap` samples now, rather than
+    /// growing it while samples arrive. The sample is unchanged.
+    pub fn preallocate(&mut self) {
+        self.samples.reserve_exact(self.cap - self.samples.len());
+    }
+
     fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -158,6 +164,20 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
+    }
+
+    #[test]
+    fn preallocated_storage_does_not_change_the_sample() {
+        let run = |mut r: Reservoir| {
+            for i in 0..1_000 {
+                r.push(f64::from(i));
+            }
+            r.into_samples()
+        };
+        let mut eager = Reservoir::new(64, 5);
+        eager.preallocate();
+        assert!(eager.samples.capacity() >= 64);
+        assert_eq!(run(eager), run(Reservoir::new(64, 5)));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!
 //! Record streams are written as blocks (epochs, then packets, then
 //! profiles, then sessions); each block is internally time-ordered.
-//! Session lines only appear in traces from the supervised transport —
-//! plain controller captures contain none. The parser accepts summary
+//! Session lines only appear in traces whose producer records session
+//! transitions (no driver in the workspace does at present) — plain
+//! controller captures contain none. The parser accepts summary
 //! records without the `sessions`/`dropped_sessions` fields (defaulting
 //! them to 0) so artifacts written before the session stream existed
 //! still load.
@@ -285,7 +286,7 @@ pub struct TraceFile {
     /// Profile snapshots in file order.
     pub profiles: Vec<ProfileSnapshot>,
     /// Session lifecycle records in file order (empty for traces that
-    /// predate the session stream or ran without a supervisor).
+    /// predate the session stream or had no session producer).
     pub sessions: Vec<SessionRecord>,
     /// Summary counters.
     pub counters: BTreeMap<String, u64>,

@@ -1,8 +1,9 @@
 //! `verus-send` — the sender application (paper §5's sender).
 //!
 //! Runs a congestion controller (Verus by default, or any baseline) over
-//! UDP towards a `verus-recv` instance under the session supervisor,
-//! then prints transfer statistics once the session has drained.
+//! UDP towards a `verus-recv` instance as one flow of a one-shard
+//! `ShardServer`, then prints transfer statistics once the session has
+//! drained.
 //!
 //! ```bash
 //! verus-send <dest-addr> [options]
@@ -13,11 +14,10 @@
 //! ```
 
 use std::net::SocketAddr;
-use std::time::Duration;
 use verus_baselines::{Cubic, NewReno, Sprout, Vegas};
 use verus_core::{VerusCc, VerusConfig};
-use verus_nettypes::CongestionControl;
-use verus_transport::{SenderConfig, SupervisedSender, SupervisorConfig, WallClock};
+use verus_nettypes::{CongestionControl, SimDuration};
+use verus_transport::{FlowSpec, ShardServer, ShardServerConfig, WallClock};
 
 struct Args {
     dest: SocketAddr,
@@ -75,24 +75,32 @@ fn main() {
     });
     // The gap timer: Verus' §5.2 3×delay; RACK-ish 2× for the baselines.
     let gap_factor = if args.proto == "verus" { 3.0 } else { 2.0 };
-    let config = SenderConfig {
-        bind: "0.0.0.0:0".into(),
+    let server = ShardServer::new(ShardServerConfig {
+        bind: SocketAddr::from(([0, 0, 0, 0], 0)),
         packet_bytes: args.bytes,
         gap_factor,
-        ..SenderConfig::new(args.dest, Duration::from_secs(args.secs))
-    };
+        deadline: SimDuration::from_secs(args.secs),
+        stagger: SimDuration::ZERO,
+        ..ShardServerConfig::default()
+    });
     eprintln!(
         "verus-send: {} → {} for {} s ({} B packets)",
         args.proto, args.dest, args.secs, args.bytes
     );
-    let mut sender = SupervisedSender::new(SupervisorConfig::new(config), WallClock::new());
-    let stats = match sender.run(cc) {
-        Ok(report) => report.stats,
-        Err(e) => {
+    let flow = FlowSpec {
+        flow: 1,
+        dest: args.dest,
+        packets: u64::MAX,
+        cc,
+    };
+    let report = server
+        .run(vec![flow], WallClock::new())
+        .unwrap_or_else(|e| {
             eprintln!("transfer failed: {e}");
             std::process::exit(1);
-        }
-    };
+        });
+    // One spec in, one report out.
+    let stats = &report.flows[0].stats;
     println!(
         "throughput : {:.3} Mbit/s ({} acked / {} sent)",
         stats.mean_throughput_mbps(),
@@ -102,7 +110,7 @@ fn main() {
     println!(
         "delay      : mean {:.1} ms, p95 {:.1} ms",
         stats.mean_delay_ms(),
-        stats.delay_summary().map_or(0.0, |s| s.p95)
+        stats.delay_summary.map_or(0.0, |s| s.p95)
     );
     println!(
         "losses     : {} fast, {} timeouts",

@@ -4,17 +4,14 @@
 //! [`Session`], RTT estimator, in-flight table with the §5.2 reordering
 //! gap deadlines, and the RFC 6298 RTO with its backoff count. Every
 //! method takes `now`; nothing here touches a socket or reads a clock,
-//! so the whole machine is unit-tested without either. Two drivers run
-//! it:
+//! so the whole machine is unit-tested without either. Its one driver,
+//! [`ShardServer`](crate::ShardServer), owns the sockets, the clock, a
+//! timer wheel and the sequence policy: which sequence a send, a
+//! retransmission or a probe uses. So the engine hands every sequence it
+//! declares lost back to the driver, and [`FlowEngine::pump`] asks the
+//! driver for each sequence it sends.
 //!
-//! * [`SupervisedSender`](crate::SupervisedSender) — one socket, one
-//!   wall-clock loop, one engine;
-//! * [`ShardServer`](crate::ShardServer) — a timer wheel, a bitmap
-//!   ledger and batched I/O around one engine per flow.
-//!
-//! The drivers keep only what really differs between them: the sequence
-//! policy (which sequence a probe or a send uses) and how often they run
-//! the gap sweep. Every driver gets these rules:
+//! The engine's rules:
 //!
 //! * owed epoch ticks are stamped at their epoch boundaries, as in the
 //!   simulator, not at the instant the driver noticed them;
@@ -94,6 +91,8 @@ pub(crate) struct FlowEngine {
     /// the backed-off deadline then covers the next send.
     rto_deadline: Option<SimTime>,
     rto_retries: u32,
+    /// The epoch period: the controller's `tick_interval`, or the
+    /// fallback from [`FlowParams::epoch`].
     epoch: SimDuration,
     /// Whether the controller is clock-driven (`tick_interval` is set).
     ticks: bool,
@@ -136,13 +135,6 @@ impl FlowEngine {
     #[must_use]
     pub(crate) fn session(&self) -> &Session {
         &self.session
-    }
-
-    /// The epoch period: the controller's `tick_interval`, or the
-    /// fallback from [`FlowParams::epoch`].
-    #[must_use]
-    pub(crate) fn epoch(&self) -> SimDuration {
-        self.epoch
     }
 
     /// Packets in flight.
@@ -267,8 +259,9 @@ impl FlowEngine {
     }
 
     /// Declares every overdue gap timer a `FastRetransmit` loss (the
-    /// packet leaves the table) and returns how many fired.
-    pub(crate) fn sweep_gaps(&mut self, now: SimTime) -> u64 {
+    /// packet leaves the table and its sequence goes to `lost`) and
+    /// returns how many fired.
+    pub(crate) fn sweep_gaps(&mut self, now: SimTime, lost: &mut impl Extend<u64>) -> u64 {
         self.overdue.clear();
         self.overdue.extend(
             self.outstanding
@@ -287,14 +280,16 @@ impl FlowEngine {
                 },
             );
         }
+        lost.extend(self.overdue.iter().map(|&(seq, _)| seq));
         self.overdue.len() as u64
     }
 
     /// Expires the RTO if it is due: the whole in-flight table is
-    /// cleared as one `Timeout` on its oldest sequence, and the next
-    /// deadline backs off exponentially. A deadline due on an empty
-    /// table is simply cleared. Returns whether a timeout fired.
-    pub(crate) fn expire_rto(&mut self, now: SimTime) -> bool {
+    /// cleared as one `Timeout` on its oldest sequence (every cleared
+    /// sequence goes to `lost`, in order), and the next deadline backs
+    /// off exponentially. A deadline due on an empty table is simply
+    /// cleared. Returns whether a timeout fired.
+    pub(crate) fn expire_rto(&mut self, now: SimTime, lost: &mut impl Extend<u64>) -> bool {
         if self.rto_deadline.is_none_or(|d| now < d) {
             return false;
         }
@@ -303,6 +298,7 @@ impl FlowEngine {
             self.rto_deadline = None;
             return false;
         };
+        lost.extend(self.outstanding.iter().map(|(seq, _)| seq));
         self.outstanding.clear();
         self.rto_retries = self.rto_retries.saturating_add(1);
         self.cc.on_loss(
@@ -344,18 +340,19 @@ impl FlowEngine {
     }
 
     /// Grants the controller's quota until it runs dry or `next_seq`
-    /// has no sequence left, handing each grant to `out`. Above the shed
-    /// cap one quota batch is shed instead (sequences consumed, never in
-    /// flight) and the pump stops: a window-based controller would
-    /// otherwise re-grant the same quota forever, since sheds never grow
-    /// the in-flight count.
+    /// has no sequence left, handing each grant to `out`. `next_seq`
+    /// sees the engine, so the driver can skip a sequence that is back
+    /// in flight. Above the shed cap one quota batch is shed instead
+    /// (sequences consumed, never in flight) and the pump stops: a
+    /// window-based controller would otherwise re-grant the same quota
+    /// forever, since sheds never grow the in-flight count.
     ///
     /// # Errors
     /// The first error `out` returns.
     pub(crate) fn pump<E>(
         &mut self,
         now: SimTime,
-        mut next_seq: impl FnMut() -> Option<u64>,
+        mut next_seq: impl FnMut(&Self) -> Option<u64>,
         mut out: impl FnMut(Pumped) -> Result<(), E>,
     ) -> Result<(), E> {
         loop {
@@ -366,7 +363,7 @@ impl FlowEngine {
             }
             let shed = self.params.shed_cap.is_some_and(|cap| in_flight >= cap);
             for _ in 0..quota {
-                let Some(seq) = next_seq() else {
+                let Some(seq) = next_seq(self) else {
                     return Ok(());
                 };
                 if shed {
@@ -508,8 +505,10 @@ mod tests {
     fn stale_ack_feeds_the_rtt_estimator_but_not_the_controller() {
         let (mut e, log) = recorder(4, None, None);
         let pkt = e.send(ms(0), 0);
-        assert!(e.expire_rto(ms(1_000)), "initial RTO is 1 s");
+        let mut lost = Vec::new();
+        assert!(e.expire_rto(ms(1_000), &mut lost), "initial RTO is 1 s");
         assert_eq!(e.in_flight(), 0);
+        assert_eq!(lost, vec![0]);
         assert!(e.rtt.srtt().is_none());
 
         let out = e.on_ack(ms(1_100), &ack_for(&pkt, ms(1_050))).unwrap();
@@ -549,15 +548,19 @@ mod tests {
             e.send(ms(0), seq);
         }
         assert_eq!(e.rto_deadline(), Some(ms(1_000)));
-        assert!(!e.expire_rto(ms(999)), "not due yet");
-        assert!(e.expire_rto(ms(1_000)));
+        let mut lost = Vec::new();
+        assert!(!e.expire_rto(ms(999), &mut lost), "not due yet");
+        assert!(lost.is_empty());
+        assert!(e.expire_rto(ms(1_000), &mut lost));
         assert_eq!(e.in_flight(), 0);
+        assert_eq!(lost, vec![0, 1, 2], "every cleared sequence is handed back");
         assert_eq!(log_of(&log).losses, vec![(0, LossKind::Timeout)]);
         assert_eq!(e.rto_retries, 1);
         assert_eq!(e.rto_deadline(), Some(ms(3_000)), "doubled from 1 s");
 
         // The backed-off deadline comes due on an empty table: cleared.
-        assert!(!e.expire_rto(ms(3_000)));
+        assert!(!e.expire_rto(ms(3_000), &mut lost));
+        assert_eq!(lost.len(), 3, "nothing more was lost");
         assert_eq!(e.rto_deadline(), None);
         assert_eq!(e.rto_retries, 1, "backoff survives until an ACK");
 
@@ -589,8 +592,11 @@ mod tests {
                 .is_some_and(|p| p.gap_deadline.is_none()),
             "seq 3 is above the frontier"
         );
-        assert_eq!(e.sweep_gaps(ms(399)), 0);
-        assert_eq!(e.sweep_gaps(ms(400)), 2);
+        let mut lost = Vec::new();
+        assert_eq!(e.sweep_gaps(ms(399), &mut lost), 0);
+        assert!(lost.is_empty());
+        assert_eq!(e.sweep_gaps(ms(400), &mut lost), 2);
+        assert_eq!(lost, vec![0, 1]);
         assert_eq!(
             log_of(&log).losses,
             vec![(0, LossKind::FastRetransmit), (1, LossKind::FastRetransmit)]
@@ -602,7 +608,7 @@ mod tests {
     #[test]
     fn tick_catch_up_stamps_every_owed_boundary() {
         let (mut e, log) = recorder(4, Some(SimDuration::from_millis(5)), None);
-        assert_eq!(e.epoch(), SimDuration::from_millis(5));
+        assert_eq!(e.epoch, SimDuration::from_millis(5));
         assert_eq!(e.tick_through(ms(5), ms(4)), ms(5), "nothing owed yet");
         assert_eq!(e.tick_through(ms(5), ms(17)), ms(20));
         assert_eq!(log_of(&log).ticks, vec![ms(5), ms(10), ms(15)]);
@@ -613,7 +619,7 @@ mod tests {
     fn controllers_without_a_tick_interval_get_no_ticks() {
         let (mut e, log) = recorder(4, None, None);
         assert_eq!(
-            e.epoch(),
+            e.epoch,
             SimDuration::from_millis(5),
             "the maintenance cadence"
         );
@@ -679,7 +685,7 @@ mod tests {
         // Under the cap: one full window goes on the wire.
         e.pump(
             ms(0),
-            || {
+            |_| {
                 next += 1;
                 Some(next - 1)
             },
@@ -702,7 +708,7 @@ mod tests {
         grants.clear();
         e.pump(
             ms(10),
-            || {
+            |_| {
                 next += 1;
                 Some(next - 1)
             },
@@ -726,7 +732,7 @@ mod tests {
         let mut sent = 0;
         e.pump(
             ms(0),
-            || {
+            |_| {
                 left = left.checked_sub(1)?;
                 Some(2 - left)
             },

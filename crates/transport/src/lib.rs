@@ -10,10 +10,11 @@
 //!   with its 5 ms epochs, or a baseline) with the same loss detection
 //!   as the simulator — the §5.2 3×delay reordering timer and an
 //!   RFC 6298 RTO — plus the session machine and the shed cap. Every
-//!   method takes `now`; its two drivers, [`supervisor`] and
-//!   [`shard_server`], own the sockets and clocks;
-//! * [`supervisor`] — the wall-clock sender: one socket and one loop
-//!   around one engine (the paper's prototype sender);
+//!   method takes `now`; its one driver, [`shard_server`], owns the
+//!   sockets and the clock;
+//! * [`shard_server`] — the one sender driver, for one flow (the
+//!   paper's prototype sender: `verus-send`, the loopback and chaos
+//!   tests) or thousands (the load tests); see below;
 //! * [`receiver`] — the UDP sink: timestamps every data packet and
 //!   returns an ACK echoing the packet's send time and sending window
 //!   (one thread, like the prototype's receiver app);
@@ -27,30 +28,29 @@
 //!
 //! Everything runs on plain `std::net::UdpSocket` + threads — the same
 //! architecture as the paper's librt-based prototype; an async runtime
-//! would add machinery without adding fidelity for a handful of sockets.
+//! would add machinery without adding fidelity.
 //!
 //! The resilience layer (DESIGN.md §12) is the session machine the
 //! engine carries:
 //!
 //! * [`session`] — the pure state machine (`Connecting → Established →
 //!   Degraded → Reconnecting → Draining → Closed`) with capped,
-//!   deterministically jittered reconnect backoff; the supervisor probes
-//!   on its backoff schedule while disconnected, warm-restarts the
-//!   controller on resumption, and sheds overload into the
-//!   `shed_dropped` ledger column.
+//!   deterministically jittered reconnect backoff; the shard probes on
+//!   its backoff schedule while disconnected, the engine warm-restarts
+//!   the controller on resumption, and the shed cap sheds overload into
+//!   the `shed_dropped` ledger column.
 //!
-//! The scale-out plane (DESIGN.md §15) replaces thread-pairs-per-socket
-//! with thread-per-core sharding for crowds of flows:
+//! The sender plane (DESIGN.md §15) is thread-per-core:
 //!
 //! * [`io_batch`] — `sendmmsg`/`recvmmsg` syscall batching with UDP
 //!   segmentation offload (GSO/GRO) behind the [`IoBatcher`] trait,
 //!   with a portable per-packet fallback;
 //! * [`timer_plane`] — per-shard RTO/epoch timers on the netsim
 //!   hierarchical timing wheel (no per-flow sleep loops);
-//! * [`shard_server`] — the thread-per-core server itself: each shard
-//!   exclusively owns `flow % shards == shard` flows, drives one flow
-//!   engine per flow through one batched socket, and publishes
-//!   lock-free cache-padded stats snapshots.
+//! * [`shard_server`] — the server itself: each shard exclusively owns
+//!   `flow % shards == shard` flows, drives one flow engine per flow
+//!   through one batched socket, publishes lock-free cache-padded stats
+//!   snapshots, and returns a [`FlowReport`] per flow.
 
 // `deny` rather than `forbid`: the one `#[allow(unsafe_code)]` in the
 // tree is io_batch's cfg-gated mmsg FFI module (see its safety notes).
@@ -65,7 +65,6 @@ pub mod receiver;
 pub mod session;
 pub mod shard_server;
 pub mod stats;
-pub mod supervisor;
 pub mod timer_plane;
 
 pub use clock::WallClock;
@@ -74,11 +73,10 @@ pub use io_batch::{batcher_for, IoBatcher, IoCounters, IoMode, OutPacket, Receiv
 pub use receiver::{Receiver, ReceiverHandle};
 pub use session::{BackoffSchedule, Session, SessionConfig, Transition};
 pub use shard_server::{
-    FlowSpec, LoadReport, ShardServer, ShardServerConfig, ShardSnapshot,
+    FlowReport, FlowSpec, LoadReport, ShardServer, ShardServerConfig, ShardSnapshot,
 };
 pub use timer_plane::{TimerKind, TimerPlane};
 // The state enum lives in `verus-trace` (session records embed it);
 // re-exported here because `Transition` is spelled in terms of it.
 pub use verus_trace::SessionState;
 pub use stats::TransferStats;
-pub use supervisor::{SenderConfig, SessionReport, SupervisedSender, SupervisorConfig};

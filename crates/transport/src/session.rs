@@ -108,8 +108,8 @@ impl SessionConfig {
 ///
 /// Stateful: each [`Self::delay`] call consumes one jitter draw, so a
 /// schedule replays identically only from a fresh construction with the
-/// same `(seed, session_id)` — which is exactly how the supervisor uses
-/// it (one schedule per disruption).
+/// same `(seed, session_id)` — which is exactly how [`Session`] uses it
+/// (one schedule per disruption).
 #[derive(Debug, Clone)]
 pub struct BackoffSchedule {
     base: SimDuration,
@@ -156,8 +156,8 @@ impl BackoffSchedule {
     }
 }
 
-/// One observed state-machine edge, for the supervisor to turn into a
-/// `verus-trace` session record.
+/// One observed state-machine edge, kept in order in each flow's
+/// [`FlowReport`](crate::FlowReport).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transition {
     /// When the edge was taken.

@@ -28,7 +28,7 @@ use verus_stats::StreamingStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimerKind {
     /// The flow's CC epoch tick (ε-cadence for Verus, RTT-cadence for
-    /// baselines): run `on_tick`, session poll, probe/retransmit sweep.
+    /// baselines): run `on_tick`, session poll, gap sweep, pump or probe.
     Epoch {
         /// Shard-local flow index.
         flow: u32,

@@ -7,13 +7,14 @@
 //! loose — wall-clock tests on shared CI machines jitter — but every run
 //! must move real data and keep delays in a sane band.
 
-use std::time::Duration;
+use std::net::SocketAddr;
 use verus_baselines::Cubic;
 use verus_cellular::{OperatorModel, Scenario};
 use verus_core::VerusCc;
-use verus_nettypes::SimDuration;
+use verus_nettypes::{CongestionControl, SimDuration};
 use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, SupervisedSender, SupervisorConfig, WallClock,
+    Emulator, EmulatorConfig, FlowSpec, Receiver, ShardServer, ShardServerConfig, TransferStats,
+    WallClock,
 };
 
 fn trace(seed: u64) -> verus_cellular::Trace {
@@ -22,20 +23,42 @@ fn trace(seed: u64) -> verus_cellular::Trace {
         .unwrap()
 }
 
+/// Runs `cc` as one flow to `dest` for `secs`, then drains.
+fn send(
+    dest: SocketAddr,
+    secs: u64,
+    gap_factor: f64,
+    cc: Box<dyn CongestionControl>,
+    clock: WallClock,
+) -> TransferStats {
+    let server = ShardServer::new(ShardServerConfig {
+        deadline: SimDuration::from_secs(secs),
+        gap_factor,
+        stagger: SimDuration::ZERO,
+        ..ShardServerConfig::default()
+    });
+    let flow = FlowSpec {
+        flow: 1,
+        dest,
+        packets: u64::MAX,
+        cc,
+    };
+    server.run(vec![flow], clock).unwrap().flows.remove(0).stats
+}
+
 #[test]
 fn verus_over_emulated_cellular_loopback() {
     let clock = WallClock::new();
     let rx = Receiver::spawn("127.0.0.1:0", clock).unwrap();
     let emu = Emulator::spawn(EmulatorConfig::new(trace(1), rx.local_addr()), clock).unwrap();
 
-    let mut sender = SupervisedSender::new(
-        SupervisorConfig::new(SenderConfig::new(
-            emu.ingress_addr(),
-            Duration::from_secs(3),
-        )),
+    let stats = send(
+        emu.ingress_addr(),
+        3,
+        3.0,
+        Box::new(VerusCc::default()),
         clock,
     );
-    let stats = sender.run(Box::new(VerusCc::default())).unwrap().stats;
 
     assert!(stats.sent > 50, "sent only {} packets", stats.sent);
     assert!(
@@ -62,14 +85,8 @@ fn cubic_over_emulated_cellular_loopback() {
     let rx = Receiver::spawn("127.0.0.1:0", clock).unwrap();
     let emu = Emulator::spawn(EmulatorConfig::new(trace(2), rx.local_addr()), clock).unwrap();
 
-    let mut sender = SupervisedSender::new(
-        SupervisorConfig::new(SenderConfig {
-            gap_factor: 1.5, // duplicate-ACK-like for TCP
-            ..SenderConfig::new(emu.ingress_addr(), Duration::from_secs(3))
-        }),
-        clock,
-    );
-    let stats = sender.run(Box::new(Cubic::new())).unwrap().stats;
+    // Gap factor 1.5: duplicate-ACK-like for TCP.
+    let stats = send(emu.ingress_addr(), 3, 1.5, Box::new(Cubic::new()), clock);
     assert!(stats.acked > 50, "cubic moved only {} packets", stats.acked);
     assert!(stats.mean_throughput_mbps() > 0.3);
 
@@ -85,14 +102,13 @@ fn emulator_applies_stochastic_loss() {
     config.loss = 0.3; // heavy loss so the counter must move
     let emu = Emulator::spawn(config, clock).unwrap();
 
-    let mut sender = SupervisedSender::new(
-        SupervisorConfig::new(SenderConfig::new(
-            emu.ingress_addr(),
-            Duration::from_secs(2),
-        )),
+    let stats = send(
+        emu.ingress_addr(),
+        2,
+        3.0,
+        Box::new(VerusCc::default()),
         clock,
     );
-    let stats = sender.run(Box::new(VerusCc::default())).unwrap().stats;
     assert!(emu.dropped() > 0, "no drops despite 30% loss");
     assert!(
         stats.fast_losses + stats.timeouts > 0,
@@ -107,14 +123,7 @@ fn direct_sender_receiver_without_emulator() {
     // Sanity: the sender and receiver interoperate at full loopback speed.
     let clock = WallClock::new();
     let rx = Receiver::spawn("127.0.0.1:0", clock).unwrap();
-    let mut sender = SupervisedSender::new(
-        SupervisorConfig::new(SenderConfig::new(
-            rx.local_addr(),
-            Duration::from_secs(1),
-        )),
-        clock,
-    );
-    let stats = sender.run(Box::new(VerusCc::default())).unwrap().stats;
+    let stats = send(rx.local_addr(), 1, 3.0, Box::new(VerusCc::default()), clock);
     assert!(stats.acked > 100, "only {} acked", stats.acked);
     // Loopback delay is sub-millisecond.
     assert!(stats.mean_delay_ms() < 50.0);

@@ -7,7 +7,7 @@
 //! - **ledger balance** — every offered sequence ends exactly once in
 //!   the `acked` or `shed` column (`residual() == 0`), on BOTH the
 //!   `sendmmsg`/`recvmmsg` backend and the portable per-packet fallback;
-//! - **no stuck sessions** — the supervisor-semantics lifecycle closes
+//! - **no stuck sessions** — the session lifecycle closes
 //!   every flow before the server's deadline watchdog has to abort it;
 //! - **deterministic digests** — two runs with the same seed produce
 //!   byte-identical `deterministic_digest()` strings, and the batched

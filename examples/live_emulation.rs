@@ -5,10 +5,10 @@
 //! cargo run --release -p verus-bench --example live_emulation
 //! ```
 //!
-//! Topology (one process, three threads):
+//! Topology (one process; sender, emulator and receiver threads):
 //!
 //! ```text
-//! SupervisedSender (Verus, 5 ms wall-clock epochs)
+//! ShardServer, one flow (Verus, 5 ms wall-clock epochs)
 //!     │ UDP
 //!     ▼
 //! Emulator (releases bytes at the trace's delivery opportunities,
@@ -17,11 +17,11 @@
 //! Receiver (timestamps + ACKs every packet)
 //! ```
 
-use std::time::Duration;
 use verus_cellular::{OperatorModel, Scenario};
 use verus_core::{VerusCc, VerusConfig};
+use verus_nettypes::SimDuration;
 use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, SupervisedSender, SupervisorConfig, WallClock,
+    Emulator, EmulatorConfig, FlowSpec, Receiver, ShardServer, ShardServerConfig, WallClock,
 };
 
 fn main() -> std::io::Result<()> {
@@ -29,11 +29,7 @@ fn main() -> std::io::Result<()> {
 
     // A 3G city trace to emulate.
     let trace = Scenario::CityStationary
-        .generate_trace(
-            OperatorModel::Etisalat3G,
-            verus_nettypes::SimDuration::from_secs(15),
-            21,
-        )
+        .generate_trace(OperatorModel::Etisalat3G, SimDuration::from_secs(15), 21)
         .expect("trace generation");
     println!(
         "emulating: {} ({:.2} Mbit/s mean capacity)",
@@ -51,17 +47,19 @@ fn main() -> std::io::Result<()> {
     );
 
     // A 10-second Verus transfer through the emulator.
-    let mut sender = SupervisedSender::new(
-        SupervisorConfig::new(SenderConfig::new(
-            emulator.ingress_addr(),
-            Duration::from_secs(10),
-        )),
-        clock,
-    );
+    let server = ShardServer::new(ShardServerConfig {
+        deadline: SimDuration::from_secs(10),
+        stagger: SimDuration::ZERO,
+        ..ShardServerConfig::default()
+    });
+    let flow = FlowSpec {
+        flow: 1,
+        dest: emulator.ingress_addr(),
+        packets: u64::MAX,
+        cc: Box::new(VerusCc::new(VerusConfig::default())),
+    };
     println!("running Verus (R = 2) for 10 s of wall-clock time…");
-    let stats = sender
-        .run(Box::new(VerusCc::new(VerusConfig::default())))?
-        .stats;
+    let stats = server.run(vec![flow], clock)?.flows.remove(0).stats;
 
     println!();
     println!("results:");
@@ -74,7 +72,7 @@ fn main() -> std::io::Result<()> {
     println!(
         "  delay      : mean {:.1} ms, p95 {:.1} ms (one-way, incl. 20 ms propagation)",
         stats.mean_delay_ms(),
-        stats.delay_summary().map_or(0.0, |s| s.p95)
+        stats.delay_summary.map_or(0.0, |s| s.p95)
     );
     println!(
         "  losses     : {} fast-detected, {} timeouts, {} dropped at the emulator",

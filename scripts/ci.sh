@@ -33,8 +33,13 @@ cargo test --release -q -p verus-bench -p verus-netsim --test fault_injection --
   --features verus-netsim/strict-invariants,verus-core/strict-invariants,verus-transport/strict-invariants
 
 # CLI smoke: the sender/receiver binaries end to end on loopback. The
-# receiver binds an ephemeral port and names it on stderr; a 2 s Verus
-# transfer at it must get at least one packet acknowledged.
+# receiver binds an ephemeral port and names it on stderr; a 2 s
+# transfer at it must get at least one packet acknowledged, once with
+# Verus and once with CUBIC (no tick interval: it runs on the shard's
+# maintenance epoch). Each send runs under `timeout 5`: a transfer that
+# drains promptly ends a few milliseconds after its 2 s, and one that
+# hangs into the server's hard abort (deadline + 2 s drain timeout +
+# 1 s) fails here.
 recv_log="$(mktemp /tmp/verus_recv.XXXXXX.log)"
 target/release/verus-recv 127.0.0.1:0 --quiet 2> "$recv_log" &
 recv_pid=$!
@@ -46,12 +51,15 @@ for _ in $(seq 100); do
   sleep 0.1
 done
 [ -n "$recv_addr" ] || { echo "verus-recv never reported its address:"; cat "$recv_log"; exit 1; }
-send_out="$(target/release/verus-send "$recv_addr" --secs 2)"
+for proto in verus cubic; do
+  send_out="$(timeout 5 target/release/verus-send "$recv_addr" --secs 2 --proto "$proto")" \
+    || { echo "verus-send --proto $proto failed or outlived its 5 s budget:"; echo "$send_out"; exit 1; }
+  acked="$(sed -n 's/.*(\([0-9]*\) acked \/ [0-9]* sent).*/\1/p' <<< "$send_out")"
+  [ "${acked:-0}" -gt 0 ] || { echo "verus-send --proto $proto got nothing acknowledged:"; echo "$send_out"; exit 1; }
+done
 kill "$recv_pid"
 wait "$recv_pid" 2> /dev/null || true
 trap - EXIT
-acked="$(sed -n 's/.*(\([0-9]*\) acked \/ [0-9]* sent).*/\1/p' <<< "$send_out")"
-[ "${acked:-0}" -gt 0 ] || { echo "verus-send got nothing acknowledged:"; echo "$send_out"; exit 1; }
 rm -f "$recv_log"
 
 # Chaos smoke: the seeded chaos soak on both substrates with the

@@ -9,22 +9,21 @@
 //!   `2 × backoff_cap` (sim: first delivered throughput window;
 //!   transport: first `Established` transition);
 //! * zero stuck flows — the sim flow keeps delivering after the last
-//!   outage, the supervised session drains to `Closed`;
+//!   outage, the transport session drains to `Closed`;
 //! * the conservation ledger balances exactly, including the overload
 //!   guard's `shed_dropped` column.
 //!
 //! `bench_chaos` runs the same judgements standalone and emits the
 //! committed `CHAOS_0.json`; these tests keep them in the tier-1 suite.
 
-use std::time::Duration;
 use verus_core::VerusCc;
 use verus_netsim::chaos::{ChaosSchedule, ChaosScript};
 use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::{SimDuration, SimTime};
 use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, SessionConfig, SessionState,
-    SupervisedSender, SupervisorConfig, WallClock,
+    Emulator, EmulatorConfig, FlowSpec, Receiver, SessionConfig, SessionState, ShardServer,
+    ShardServerConfig, WallClock,
 };
 
 const SEED: u64 = 21;
@@ -131,22 +130,27 @@ fn transport_chaos_soak_reestablishes_within_slo() {
     emu_config.impairments = sched.compile().expect("chaos schedule compiles");
     let emulator = Emulator::spawn(emu_config, clock).unwrap();
 
-    let mut config = SupervisorConfig::new(SenderConfig::new(
-        emulator.ingress_addr(),
-        Duration::from_secs(8),
-    ));
-    config.session = SessionConfig {
-        idle_degraded: SimDuration::from_millis(300),
-        degraded_grace: SimDuration::from_millis(200),
-        drain_timeout: SimDuration::from_secs(2),
-        backoff_base: SimDuration::from_millis(50),
-        backoff_cap: BACKOFF_CAP,
-        seed: SEED,
-        session_id: 0,
+    let server = ShardServer::new(ShardServerConfig {
+        deadline: SimDuration::from_secs(8),
+        stagger: SimDuration::ZERO,
+        session: SessionConfig {
+            idle_degraded: SimDuration::from_millis(300),
+            degraded_grace: SimDuration::from_millis(200),
+            drain_timeout: SimDuration::from_secs(2),
+            backoff_base: SimDuration::from_millis(50),
+            backoff_cap: BACKOFF_CAP,
+            seed: SEED,
+            session_id: 0,
+        },
+        ..ShardServerConfig::default()
+    });
+    let flow = FlowSpec {
+        flow: 0,
+        dest: emulator.ingress_addr(),
+        packets: u64::MAX,
+        cc: Box::new(VerusCc::default()),
     };
-    let report = SupervisedSender::new(config, clock)
-        .run(Box::new(VerusCc::default()))
-        .unwrap();
+    let report = server.run(vec![flow], clock).unwrap().flows.remove(0);
     emulator.stop();
     receiver.stop();
 
@@ -162,7 +166,7 @@ fn transport_chaos_soak_reestablishes_within_slo() {
         "the outage must force a reconnect cycle: {:?}",
         report.transitions
     );
-    assert!(report.probes_sent >= 1, "reconnecting must probe");
+    assert!(report.probes >= 1, "reconnecting must probe");
     let s = &report.stats;
     assert!(s.acked > 0, "nothing acknowledged");
     assert!(

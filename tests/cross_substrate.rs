@@ -3,14 +3,13 @@
 //! UDP sockets through the emulator. This is the check that the two
 //! transports implement the same semantics.
 
-use std::time::Duration;
 use verus_bench::{CellExperiment, ProtocolSpec};
 use verus_cellular::{OperatorModel, Scenario, Trace};
 use verus_core::VerusCc;
 use verus_netsim::queue::QueueConfig;
 use verus_nettypes::SimDuration;
 use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, SupervisedSender, SupervisorConfig, WallClock,
+    Emulator, EmulatorConfig, FlowSpec, Receiver, ShardServer, ShardServerConfig, WallClock,
 };
 
 fn shared_trace() -> Trace {
@@ -36,14 +35,18 @@ fn simulated_and_real_verus_agree_on_throughput_scale() {
     let receiver = Receiver::spawn("127.0.0.1:0", clock).unwrap();
     let emulator =
         Emulator::spawn(EmulatorConfig::new(trace, receiver.local_addr()), clock).unwrap();
-    let mut sender = SupervisedSender::new(
-        SupervisorConfig::new(SenderConfig::new(
-            emulator.ingress_addr(),
-            Duration::from_secs(8),
-        )),
-        clock,
-    );
-    let real = sender.run(Box::new(VerusCc::default())).unwrap().stats;
+    let server = ShardServer::new(ShardServerConfig {
+        deadline: SimDuration::from_secs(8),
+        stagger: SimDuration::ZERO,
+        ..ShardServerConfig::default()
+    });
+    let flow = FlowSpec {
+        flow: 1,
+        dest: emulator.ingress_addr(),
+        packets: u64::MAX,
+        cc: Box::new(VerusCc::default()),
+    };
+    let real = server.run(vec![flow], clock).unwrap().flows.remove(0).stats;
     emulator.stop();
     receiver.stop();
 

@@ -12,7 +12,7 @@ use verus_netsim::queue::QueueConfig;
 use verus_netsim::{BottleneckConfig, FlowConfig, SimConfig, Simulation};
 use verus_nettypes::{SimDuration, SimTime};
 use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, SupervisedSender, SupervisorConfig, WallClock,
+    Emulator, EmulatorConfig, FlowSpec, Receiver, ShardServer, ShardServerConfig, WallClock,
 };
 
 /// Synthetic constant-rate trace: one opportunity per millisecond.
@@ -170,14 +170,18 @@ fn transport_soak_survives_blackout_and_joins_threads() {
     };
     let emulator = Emulator::spawn(config, clock).unwrap();
 
-    let mut sender = SupervisedSender::new(
-        SupervisorConfig::new(SenderConfig::new(
-            emulator.ingress_addr(),
-            Duration::from_secs(7),
-        )),
-        clock,
-    );
-    let stats = sender.run(Box::new(VerusCc::default())).unwrap().stats;
+    let server = ShardServer::new(ShardServerConfig {
+        deadline: SimDuration::from_secs(7),
+        stagger: SimDuration::ZERO,
+        ..ShardServerConfig::default()
+    });
+    let flow = FlowSpec {
+        flow: 1,
+        dest: emulator.ingress_addr(),
+        packets: u64::MAX,
+        cc: Box::new(VerusCc::default()),
+    };
+    let stats = server.run(vec![flow], clock).unwrap().flows.remove(0).stats;
 
     assert!(stats.acked > 0, "nothing acknowledged");
     assert!(

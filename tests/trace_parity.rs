@@ -15,7 +15,7 @@ use verus_netsim::queue::QueueConfig;
 use verus_nettypes::{CongestionControl, SimDuration};
 use verus_trace::{parse_jsonl, to_jsonl, Recorder, TraceFile, TracePhase};
 use verus_transport::{
-    Emulator, EmulatorConfig, Receiver, SenderConfig, SupervisedSender, SupervisorConfig, WallClock,
+    Emulator, EmulatorConfig, FlowSpec, Receiver, ShardServer, ShardServerConfig, WallClock,
 };
 
 const RUN_SECS: u64 = 8;
@@ -50,14 +50,18 @@ fn real_trace_file() -> TraceFile {
     let (handle, shared) = Recorder::new().shared();
     let mut cc: Box<dyn CongestionControl> = Box::new(VerusCc::default());
     cc.attach_trace(handle);
-    let mut sender = SupervisedSender::new(
-        SupervisorConfig::new(SenderConfig::new(
-            emulator.ingress_addr(),
-            Duration::from_secs(RUN_SECS),
-        )),
-        clock,
-    );
-    let _stats = sender.run(cc).expect("sender run").stats;
+    let server = ShardServer::new(ShardServerConfig {
+        deadline: SimDuration::from_secs(RUN_SECS),
+        stagger: SimDuration::ZERO,
+        ..ShardServerConfig::default()
+    });
+    let flow = FlowSpec {
+        flow: 1,
+        dest: emulator.ingress_addr(),
+        packets: u64::MAX,
+        cc,
+    };
+    let _report = server.run(vec![flow], clock).expect("sender run");
     // Quiesce before sampling counters: the sender is done, but the
     // emulator keeps forwarding its queued residue and the loopback hop
     // still holds packets the receiver hasn't counted. Wait until both
