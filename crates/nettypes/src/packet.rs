@@ -19,13 +19,18 @@
 //!        recv_time_us(8) | send_window_x1000(8)
 //! ```
 //!
+//! Each type has one writer into caller memory ([`DataPacket::write`],
+//! [`AckPacket::write`]), so a sender can encode straight into its send
+//! buffer; `encode` wraps that writer for callers that want an owned
+//! copy.
+//!
 //! The sending window is fixed-point (×1000) rather than `f64` on the wire
 //! so the format has no NaN states. Timestamps must fit a
 //! [`SimTime`](crate::SimTime) (nanoseconds in a `u64`): decoding rejects any above
 //! [`MAX_WIRE_TIME_US`], so no consumer's microsecond → nanosecond
 //! conversion can overflow on a hostile packet.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Buf;
 
 /// Magic for data packets: "VD".
 const MAGIC_DATA: u16 = 0x5644;
@@ -125,18 +130,29 @@ impl DataPacket {
         DATA_HEADER_LEN + self.payload_len as usize
     }
 
+    /// Writes the header and a zero-filled payload into the first
+    /// [`Self::wire_len`] bytes of `buf`.
+    ///
+    /// # Panics
+    /// If `buf` is shorter than [`Self::wire_len`].
+    pub fn write(&self, buf: &mut [u8]) {
+        let (head, payload) = buf[..self.wire_len()].split_at_mut(DATA_HEADER_LEN);
+        let mut w = Put(head);
+        w.put(MAGIC_DATA.to_be_bytes());
+        w.put(self.flow.to_be_bytes());
+        w.put(self.seq.to_be_bytes());
+        w.put(self.send_time_us.to_be_bytes());
+        w.put(encode_window(self.send_window).to_be_bytes());
+        w.put(self.payload_len.to_be_bytes());
+        payload.fill(0);
+    }
+
     /// Encodes header + zero-filled payload into a fresh buffer.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_u16(MAGIC_DATA);
-        buf.put_u32(self.flow);
-        buf.put_u64(self.seq);
-        buf.put_u64(self.send_time_us);
-        buf.put_u64(encode_window(self.send_window));
-        buf.put_u32(self.payload_len);
-        buf.resize(self.wire_len(), 0);
-        buf.freeze()
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = vec![0; self.wire_len()];
+        self.write(&mut buf);
+        buf
     }
 
     /// Decodes a data packet from `buf` (payload bytes beyond the declared
@@ -176,17 +192,26 @@ impl AckPacket {
         }
     }
 
-    /// Encodes into a fresh buffer of [`ACK_LEN`] bytes.
+    /// Writes the ACK into the first [`ACK_LEN`] bytes of `buf`.
+    ///
+    /// # Panics
+    /// If `buf` is shorter than [`ACK_LEN`].
+    pub fn write(&self, buf: &mut [u8]) {
+        let mut w = Put(&mut buf[..ACK_LEN]);
+        w.put(MAGIC_ACK.to_be_bytes());
+        w.put(self.flow.to_be_bytes());
+        w.put(self.seq.to_be_bytes());
+        w.put(self.echo_send_time_us.to_be_bytes());
+        w.put(self.recv_time_us.to_be_bytes());
+        w.put(encode_window(self.send_window).to_be_bytes());
+    }
+
+    /// Encodes into a stack buffer of [`ACK_LEN`] bytes.
     #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(ACK_LEN);
-        buf.put_u16(MAGIC_ACK);
-        buf.put_u32(self.flow);
-        buf.put_u64(self.seq);
-        buf.put_u64(self.echo_send_time_us);
-        buf.put_u64(self.recv_time_us);
-        buf.put_u64(encode_window(self.send_window));
-        buf.freeze()
+    pub fn encode(&self) -> [u8; ACK_LEN] {
+        let mut buf = [0; ACK_LEN];
+        self.write(&mut buf);
+        buf
     }
 
     /// Decodes an ACK from `buf`.
@@ -208,6 +233,17 @@ impl AckPacket {
             recv_time_us: wire_time(buf.get_u64())?,
             send_window: decode_window(buf.get_u64()),
         })
+    }
+}
+
+/// Writes big-endian fields back to back into the front of a slice.
+struct Put<'a>(&'a mut [u8]);
+
+impl Put<'_> {
+    fn put<const N: usize>(&mut self, field: [u8; N]) {
+        let (head, rest) = std::mem::take(&mut self.0).split_at_mut(N);
+        head.copy_from_slice(&field);
+        self.0 = rest;
     }
 }
 
@@ -290,7 +326,7 @@ mod tests {
 
     #[test]
     fn wrong_magic_is_rejected() {
-        let mut wire = sample_data().encode().to_vec();
+        let mut wire = sample_data().encode();
         wire[0] = 0xFF;
         assert!(matches!(
             DataPacket::decode(&wire),
@@ -369,6 +405,56 @@ mod tests {
         assert!(WireDecodeError::TimestampOutOfRange { us: 7 }
             .to_string()
             .contains("7 us"));
+    }
+
+    /// Hex digits of `bytes`, lower case, no separators.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact wire bytes of one data packet (with a payload) and one
+    /// ACK. Both substrates and every captured trace depend on this
+    /// layout, so any change to the writers must keep these bytes.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let data = DataPacket {
+            payload_len: 6,
+            ..sample_data()
+        };
+        assert_eq!(
+            hex(&data.encode()),
+            concat!(
+                "5644",
+                "00000007",
+                "000000000001e240",
+                "000000000096b43f",
+                "000000000000a48d",
+                "00000006",
+                "000000000000"
+            )
+        );
+        let ack = AckPacket::for_packet(&sample_data(), 11_000_000);
+        assert_eq!(
+            hex(&ack.encode()),
+            concat!(
+                "5641",
+                "00000007",
+                "000000000001e240",
+                "000000000096b43f",
+                "0000000000a7d8c0",
+                "000000000000a48d"
+            )
+        );
+        // The writers into dirty caller memory produce the same bytes,
+        // zero the payload, and touch nothing past the packet.
+        let mut buf = [0xAAu8; 64];
+        data.write(&mut buf);
+        assert_eq!(&buf[..data.wire_len()], &data.encode()[..]);
+        assert!(buf[data.wire_len()..].iter().all(|&b| b == 0xAA));
+        let mut buf = [0xAAu8; 64];
+        ack.write(&mut buf);
+        assert_eq!(&buf[..ACK_LEN], &ack.encode()[..]);
+        assert!(buf[ACK_LEN..].iter().all(|&b| b == 0xAA));
     }
 
     #[test]

@@ -12,23 +12,17 @@
 //! {"type":"epoch","t_ns":…,"epoch":…,"phase":…,"window":…,"dest_ms":…,"delay_ms":…,"decision":…,"headroom":…}
 //! {"type":"packet","t_ns":…,"kind":…,"seq":…,"bytes":…,"window":…,"rtt_ms":…}
 //! {"type":"profile","t_ns":…,"generation":…,"samples":[[w,d],…]}
-//! {"type":"session","t_ns":…,"kind":…,"state":…,"retries":…,"elapsed_ns":…}
-//! {"type":"summary","epochs":…,"packets":…,"profiles":…,"sessions":…,"dropped_epochs":…,"dropped_packets":…,"dropped_profiles":…,"dropped_sessions":…,"counters":{…}}
+//! {"type":"summary","epochs":…,"packets":…,"profiles":…,"dropped_epochs":…,"dropped_packets":…,"dropped_profiles":…,"counters":{…}}
 //! ```
 //!
 //! Record streams are written as blocks (epochs, then packets, then
-//! profiles, then sessions); each block is internally time-ordered.
-//! Session lines only appear in traces whose producer records session
-//! transitions (no driver in the workspace does at present) — plain
-//! controller captures contain none. The parser accepts summary
-//! records without the `sessions`/`dropped_sessions` fields (defaulting
-//! them to 0) so artifacts written before the session stream existed
-//! still load.
+//! profiles); each block is internally time-ordered. The parser reads
+//! only the summary keys it knows, so artifacts that still carry the
+//! retired session stream's `sessions`/`dropped_sessions` counters load.
 
 use crate::recorder::{DropCounts, Recorder};
 use crate::schema::{
-    DeltaDecision, EpochRecord, PacketKind, PacketRecord, ProfileSnapshot, SessionEventKind,
-    SessionRecord, SessionState, TracePhase,
+    DeltaDecision, EpochRecord, PacketKind, PacketRecord, ProfileSnapshot, TracePhase,
 };
 use crate::json::{self, Json};
 use std::collections::BTreeMap;
@@ -87,16 +81,6 @@ fn profile_line(s: &ProfileSnapshot) -> Json {
         .field("samples", s.samples.iter().copied().collect::<Json>())
 }
 
-fn session_line(r: &SessionRecord) -> Json {
-    Json::object()
-        .field("type", "session")
-        .field("t_ns", r.t_ns)
-        .field("kind", r.kind.as_str())
-        .field("state", r.state.as_str())
-        .field("retries", r.retries)
-        .field("elapsed_ns", r.elapsed_ns)
-}
-
 /// Serializes a recorded trace to JSONL. `substrate` names the producer
 /// (`"netsim"` / `"transport"`); `clock` names the timestamp domain
 /// (`"sim"` / `"wall"`).
@@ -134,13 +118,6 @@ pub fn to_jsonl(rec: &Recorder, substrate: &str, clock: &str) -> String {
     ) {
         emit(profile_line(&profiles[i]));
     }
-    let sessions = rec.sessions();
-    for i in stream_order(
-        &sessions.iter().map(|s| s.t_ns).collect::<Vec<_>>(),
-        rec.session_lanes(),
-    ) {
-        emit(session_line(&sessions[i]));
-    }
     let d = rec.dropped();
     let counters = rec
         .counters()
@@ -152,11 +129,9 @@ pub fn to_jsonl(rec: &Recorder, substrate: &str, clock: &str) -> String {
             .field("epochs", epochs.len())
             .field("packets", packets.len())
             .field("profiles", profiles.len())
-            .field("sessions", sessions.len())
             .field("dropped_epochs", d.epochs)
             .field("dropped_packets", d.packets)
             .field("dropped_profiles", d.profiles)
-            .field("dropped_sessions", d.sessions)
             .field("counters", counters),
     );
     out
@@ -247,17 +222,6 @@ fn req_u64(obj: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("field {key:?} is not a u64"))
 }
 
-/// A `u64` field defaulting to 0 when absent — for summary fields added
-/// after artifacts were committed (missing field ≠ malformed file).
-fn opt_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    match obj.get(key) {
-        None => Ok(0),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("field {key:?} is not a u64")),
-    }
-}
-
 fn req_f64(obj: &Json, key: &str) -> Result<f64, String> {
     field(obj, key)?
         .as_f64()
@@ -285,9 +249,6 @@ pub struct TraceFile {
     pub packets: Vec<PacketRecord>,
     /// Profile snapshots in file order.
     pub profiles: Vec<ProfileSnapshot>,
-    /// Session lifecycle records in file order (empty for traces that
-    /// predate the session stream or had no session producer).
-    pub sessions: Vec<SessionRecord>,
     /// Summary counters.
     pub counters: BTreeMap<String, u64>,
     /// Drop counters from the summary record.
@@ -386,21 +347,11 @@ pub fn parse_jsonl(text: &str) -> Result<TraceFile, String> {
                         samples,
                     });
                 }
-                "session" => out.sessions.push(SessionRecord {
-                    t_ns: req_u64(&obj, "t_ns")?,
-                    kind: SessionEventKind::from_str(req_str(&obj, "kind")?)
-                        .ok_or("unknown session event kind")?,
-                    state: SessionState::from_str(req_str(&obj, "state")?)
-                        .ok_or("unknown session state")?,
-                    retries: req_u64(&obj, "retries")?,
-                    elapsed_ns: req_u64(&obj, "elapsed_ns")?,
-                }),
                 "summary" => {
                     out.dropped = DropCounts {
                         epochs: req_u64(&obj, "dropped_epochs")?,
                         packets: req_u64(&obj, "dropped_packets")?,
                         profiles: req_u64(&obj, "dropped_profiles")?,
-                        sessions: opt_u64(&obj, "dropped_sessions")?,
                     };
                     let Json::Obj(raw) = field(&obj, "counters")? else {
                         return Err("counters is not an object".to_string());
@@ -475,20 +426,6 @@ mod tests {
             generation: 1,
             samples: vec![(1.0, 20.0), (8.0, 33.5)],
         });
-        r.on_session(&SessionRecord {
-            t_ns: 7_000_000,
-            kind: SessionEventKind::StateChange,
-            state: SessionState::Established,
-            retries: 0,
-            elapsed_ns: 2_000_000,
-        });
-        r.on_session(&SessionRecord {
-            t_ns: 50_000_000,
-            kind: SessionEventKind::RecoveryComplete,
-            state: SessionState::Established,
-            retries: 3,
-            elapsed_ns: 43_000_000,
-        });
         r.set_counter("sent", 2);
         r.set_counter("delivered", 1);
         r
@@ -505,7 +442,6 @@ mod tests {
         assert_eq!(parsed.epochs, rec.epochs());
         assert_eq!(parsed.packets, rec.packets());
         assert_eq!(parsed.profiles, rec.profiles());
-        assert_eq!(parsed.sessions, rec.sessions());
         assert_eq!(parsed.counters["sent"], 2);
         assert_eq!(parsed.counters["delivered"], 1);
         assert_eq!(parsed.dropped, DropCounts::default());
@@ -513,25 +449,27 @@ mod tests {
 
     #[test]
     fn summaries_without_session_fields_still_parse() {
-        // A pre-session-stream artifact: its summary has no `sessions` /
-        // `dropped_sessions` keys. Both default to 0.
-        let text = concat!(
-            "{\"type\":\"header\",\"schema\":\"verus-trace-v0\",\"substrate\":\"netsim\",\"clock\":\"sim\"}\n",
-            "{\"type\":\"summary\",\"epochs\":0,\"packets\":0,\"profiles\":0,\
+        // Summaries carry no session counters; artifacts written while
+        // the session stream existed carry `sessions`/`dropped_sessions`
+        // and must still load, with the same drop counts.
+        let header = "{\"type\":\"header\",\"schema\":\"verus-trace-v0\",\"substrate\":\"netsim\",\"clock\":\"sim\"}\n";
+        let current = "{\"type\":\"summary\",\"epochs\":0,\"packets\":0,\"profiles\":0,\
              \"dropped_epochs\":1,\"dropped_packets\":2,\"dropped_profiles\":3,\
-             \"counters\":{}}\n",
-        );
-        let parsed = parse_jsonl(text).expect("old artifact must parse");
-        assert!(parsed.sessions.is_empty());
-        assert_eq!(
-            parsed.dropped,
-            DropCounts {
-                epochs: 1,
-                packets: 2,
-                profiles: 3,
-                sessions: 0
-            }
-        );
+             \"counters\":{}}\n";
+        let legacy = "{\"type\":\"summary\",\"epochs\":0,\"packets\":0,\"profiles\":0,\
+             \"sessions\":0,\"dropped_epochs\":1,\"dropped_packets\":2,\"dropped_profiles\":3,\
+             \"dropped_sessions\":0,\"counters\":{}}\n";
+        for summary in [current, legacy] {
+            let parsed = parse_jsonl(&format!("{header}{summary}")).expect("summary must parse");
+            assert_eq!(
+                parsed.dropped,
+                DropCounts {
+                    epochs: 1,
+                    packets: 2,
+                    profiles: 3,
+                }
+            );
+        }
     }
 
     #[test]
@@ -548,10 +486,6 @@ mod tests {
         assert_eq!(
             parsed.field_order["packet"],
             ["type", "t_ns", "kind", "seq", "bytes", "window", "rtt_ms"]
-        );
-        assert_eq!(
-            parsed.field_order["session"],
-            ["type", "t_ns", "kind", "state", "retries", "elapsed_ns"]
         );
     }
 

@@ -35,7 +35,6 @@ pub mod sink;
 pub use export::{epochs_csv, packets_csv, parse_jsonl, profiles_csv, to_jsonl, TraceFile, SCHEMA};
 pub use recorder::{DropCounts, Recorder, SharedRecorder};
 pub use schema::{
-    DeltaDecision, EpochRecord, PacketKind, PacketRecord, ProfileSnapshot, SessionEventKind,
-    SessionRecord, SessionState, TracePhase,
+    DeltaDecision, EpochRecord, PacketKind, PacketRecord, ProfileSnapshot, SessionState, TracePhase,
 };
 pub use sink::{NullSink, TraceHandle, TraceSink};

@@ -12,7 +12,7 @@
 //! instrumented controller at refit time, roughly once per second —
 //! nowhere near the per-packet hot path).
 
-use crate::schema::{EpochRecord, PacketRecord, ProfileSnapshot, SessionRecord};
+use crate::schema::{EpochRecord, PacketRecord, ProfileSnapshot};
 use crate::sink::{TraceHandle, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -26,15 +26,13 @@ pub struct DropCounts {
     pub packets: u64,
     /// Profile snapshots dropped.
     pub profiles: u64,
-    /// Session lifecycle records dropped.
-    pub sessions: u64,
 }
 
 impl DropCounts {
     /// Total records dropped across all streams.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.epochs + self.packets + self.profiles + self.sessions
+        self.epochs + self.packets + self.profiles
     }
 }
 
@@ -48,7 +46,6 @@ pub struct Recorder {
     epochs: Vec<EpochRecord>,
     packets: Vec<PacketRecord>,
     profiles: Vec<ProfileSnapshot>,
-    sessions: Vec<SessionRecord>,
     // Parallel lane columns (see [`crate::lane`]): `*_lanes[i]` is the
     // flow tag the thread carried when record `i` arrived. Kept outside
     // the record structs so the wire schema and every existing consumer
@@ -56,7 +53,6 @@ pub struct Recorder {
     epoch_lanes: Vec<u32>,
     packet_lanes: Vec<u32>,
     profile_lanes: Vec<u32>,
-    session_lanes: Vec<u32>,
     dropped: DropCounts,
     /// Substrate summary counters (ledger totals, emulator forwarded/
     /// dropped, …) exported into the trace summary record.
@@ -71,9 +67,6 @@ impl Recorder {
     pub const DEFAULT_PACKETS: usize = 262_144;
     /// Default profile-snapshot capacity (~one refit per second).
     pub const DEFAULT_PROFILES: usize = 1_024;
-    /// Default session-record capacity (lifecycle events are rare — a
-    /// handful per disruption — so this covers hundreds of blackouts).
-    pub const DEFAULT_SESSIONS: usize = 1_024;
 
     /// A recorder with the default capacities.
     #[must_use]
@@ -86,32 +79,19 @@ impl Recorder {
     }
 
     /// A recorder with explicit per-stream capacities (all storage is
-    /// allocated here, up front). The session stream gets
-    /// [`Self::DEFAULT_SESSIONS`]; override with
-    /// [`Self::with_session_capacity`].
+    /// allocated here, up front).
     #[must_use]
     pub fn with_capacity(epochs: usize, packets: usize, profiles: usize) -> Self {
         Self {
             epochs: Vec::with_capacity(epochs),
             packets: Vec::with_capacity(packets),
             profiles: Vec::with_capacity(profiles),
-            sessions: Vec::with_capacity(Self::DEFAULT_SESSIONS),
             epoch_lanes: Vec::with_capacity(epochs),
             packet_lanes: Vec::with_capacity(packets),
             profile_lanes: Vec::with_capacity(profiles),
-            session_lanes: Vec::with_capacity(Self::DEFAULT_SESSIONS),
             dropped: DropCounts::default(),
             counters: BTreeMap::new(),
         }
-    }
-
-    /// Replaces the session-record capacity (storage is reallocated
-    /// here, before recording starts).
-    #[must_use]
-    pub fn with_session_capacity(mut self, sessions: usize) -> Self {
-        self.sessions = Vec::with_capacity(sessions);
-        self.session_lanes = Vec::with_capacity(sessions);
-        self
     }
 
     /// Wraps this recorder for sharing: the returned [`TraceHandle`]
@@ -141,12 +121,6 @@ impl Recorder {
         &self.profiles
     }
 
-    /// Recorded session lifecycle events, in arrival order.
-    #[must_use]
-    pub fn sessions(&self) -> &[SessionRecord] {
-        &self.sessions
-    }
-
     /// Lane tags parallel to [`Self::epochs`] (see [`crate::lane`]).
     #[must_use]
     pub fn epoch_lanes(&self) -> &[u32] {
@@ -163,12 +137,6 @@ impl Recorder {
     #[must_use]
     pub fn profile_lanes(&self) -> &[u32] {
         &self.profile_lanes
-    }
-
-    /// Lane tags parallel to [`Self::sessions`].
-    #[must_use]
-    pub fn session_lanes(&self) -> &[u32] {
-        &self.session_lanes
     }
 
     /// Drop counters.
@@ -199,11 +167,9 @@ impl Recorder {
         self.epochs.clear();
         self.packets.clear();
         self.profiles.clear();
-        self.sessions.clear();
         self.epoch_lanes.clear();
         self.packet_lanes.clear();
         self.profile_lanes.clear();
-        self.session_lanes.clear();
         self.dropped = DropCounts::default();
         self.counters.clear();
     }
@@ -242,15 +208,6 @@ impl TraceSink for Recorder {
             self.profile_lanes.push(crate::lane::current());
         } else {
             self.dropped.profiles += 1;
-        }
-    }
-
-    fn on_session(&mut self, rec: &SessionRecord) {
-        if self.sessions.len() < self.sessions.capacity() {
-            self.sessions.push(*rec);
-            self.session_lanes.push(crate::lane::current());
-        } else {
-            self.dropped.sessions += 1;
         }
     }
 
@@ -346,31 +303,8 @@ mod tests {
                 epochs: 1,
                 packets: 0,
                 profiles: 1,
-                sessions: 0
             }
         );
-    }
-
-    #[test]
-    fn session_stream_is_bounded_and_counts_drops() {
-        use crate::schema::{SessionEventKind, SessionState};
-        let mut r = Recorder::with_capacity(1, 1, 1).with_session_capacity(2);
-        let rec = SessionRecord {
-            t_ns: 1,
-            kind: SessionEventKind::StateChange,
-            state: SessionState::Established,
-            retries: 0,
-            elapsed_ns: 0,
-        };
-        for _ in 0..3 {
-            r.on_session(&rec);
-        }
-        assert_eq!(r.sessions().len(), 2);
-        assert_eq!(r.dropped().sessions, 1);
-        assert_eq!(r.dropped().total(), 1);
-        r.clear();
-        assert!(r.sessions().is_empty());
-        assert_eq!(r.dropped(), DropCounts::default());
     }
 
     #[test]

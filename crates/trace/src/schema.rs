@@ -130,9 +130,8 @@ impl PacketKind {
     }
 }
 
-/// Connection lifecycle state, mirrored from `verus-transport`'s session
-/// machine without depending on it (same inversion as [`TracePhase`]:
-/// transport emits, trace defines).
+/// Connection lifecycle state of `verus-transport`'s session machine,
+/// which re-exports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
     /// Handshake in progress; probes paced by the backoff schedule.
@@ -147,86 +146,6 @@ pub enum SessionState {
     Draining,
     /// Terminal state.
     Closed,
-}
-
-impl SessionState {
-    /// Stable wire name (the JSONL `state` field).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SessionState::Connecting => "connecting",
-            SessionState::Established => "established",
-            SessionState::Degraded => "degraded",
-            SessionState::Reconnecting => "reconnecting",
-            SessionState::Draining => "draining",
-            SessionState::Closed => "closed",
-        }
-    }
-
-    /// Parses a wire name back into a state.
-    #[must_use]
-    pub fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "connecting" => Some(SessionState::Connecting),
-            "established" => Some(SessionState::Established),
-            "degraded" => Some(SessionState::Degraded),
-            "reconnecting" => Some(SessionState::Reconnecting),
-            "draining" => Some(SessionState::Draining),
-            "closed" => Some(SessionState::Closed),
-            _ => None,
-        }
-    }
-}
-
-/// What a [`SessionRecord`] marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionEventKind {
-    /// The session machine changed state (the record's `state` is the
-    /// state being *entered*).
-    StateChange,
-    /// A disruption→Established recovery completed; `elapsed_ns` is the
-    /// recovery time the chaos SLOs bound.
-    RecoveryComplete,
-}
-
-impl SessionEventKind {
-    /// Stable wire name (the JSONL `kind` field).
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SessionEventKind::StateChange => "state_change",
-            SessionEventKind::RecoveryComplete => "recovery_complete",
-        }
-    }
-
-    /// Parses a wire name back into a kind.
-    #[must_use]
-    pub fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "state_change" => Some(SessionEventKind::StateChange),
-            "recovery_complete" => Some(SessionEventKind::RecoveryComplete),
-            _ => None,
-        }
-    }
-}
-
-/// One session lifecycle event (a transport session's state change or
-/// completed recovery).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionRecord {
-    /// Timestamp in nanoseconds.
-    pub t_ns: u64,
-    /// What this record marks.
-    pub kind: SessionEventKind,
-    /// State entered (state changes) or occupied (recovery completions —
-    /// always [`SessionState::Established`]).
-    pub state: SessionState,
-    /// Reconnect attempts taken so far in the current disruption (0 when
-    /// the session is healthy).
-    pub retries: u64,
-    /// For state changes: time spent in the state being left. For
-    /// recovery completions: disruption-detection → Established.
-    pub elapsed_ns: u64,
 }
 
 /// One ε-epoch of controller state (emitted from `VerusCc::on_tick`).
@@ -312,26 +231,8 @@ mod tests {
         ] {
             assert_eq!(PacketKind::from_str(k.as_str()), Some(k));
         }
-        for s in [
-            SessionState::Connecting,
-            SessionState::Established,
-            SessionState::Degraded,
-            SessionState::Reconnecting,
-            SessionState::Draining,
-            SessionState::Closed,
-        ] {
-            assert_eq!(SessionState::from_str(s.as_str()), Some(s));
-        }
-        for k in [
-            SessionEventKind::StateChange,
-            SessionEventKind::RecoveryComplete,
-        ] {
-            assert_eq!(SessionEventKind::from_str(k.as_str()), Some(k));
-        }
         assert_eq!(TracePhase::from_str("bogus"), None);
         assert_eq!(DeltaDecision::from_str("bogus"), None);
         assert_eq!(PacketKind::from_str("bogus"), None);
-        assert_eq!(SessionState::from_str("bogus"), None);
-        assert_eq!(SessionEventKind::from_str("bogus"), None);
     }
 }

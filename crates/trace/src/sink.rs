@@ -6,7 +6,7 @@
 //! `None` inside — every emit method is a single branch on an `Option`,
 //! so untraced runs pay nothing measurable.
 
-use crate::schema::{EpochRecord, PacketRecord, ProfileSnapshot, SessionRecord};
+use crate::schema::{EpochRecord, PacketRecord, ProfileSnapshot};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -19,14 +19,6 @@ pub trait TraceSink: Send {
     fn on_packet(&mut self, rec: &PacketRecord);
     /// The delay profile was re-interpolated.
     fn on_profile(&mut self, snap: &ProfileSnapshot);
-
-    /// A session lifecycle event occurred (state change or recovery
-    /// completion). Defaulted to a no-op so sinks predating the session
-    /// layer — and sinks that only care about the controller — need no
-    /// change.
-    fn on_session(&mut self, rec: &SessionRecord) {
-        let _ = rec;
-    }
 
     /// A batch of epoch records ([`TraceHandle`] flushes its staging
     /// buffer through this). The default forwards one at a time; sinks
@@ -144,22 +136,6 @@ impl TraceHandle {
         }
     }
 
-    /// Emits a session lifecycle event (no-op when disabled). Like
-    /// profiles, session events are rare — a few per disruption — so
-    /// they skip the staging buffers and go straight to the sink; any
-    /// staged packet/epoch records flush first so the sink observes the
-    /// streams in causal order.
-    pub fn session(&mut self, rec: &SessionRecord) {
-        if self.sink.is_some() {
-            self.flush();
-        }
-        if let Some(sink) = &self.sink {
-            if let Ok(mut s) = sink.lock() {
-                s.on_session(rec);
-            }
-        }
-    }
-
     /// Pushes all staged records to the sink under one lock.
     pub fn flush(&mut self) {
         if self.epochs.is_empty() && self.packets.is_empty() {
@@ -270,65 +246,6 @@ mod tests {
             sink.lock().expect("unpoisoned").0,
             TraceHandle::BATCH as u64 + 1
         );
-    }
-
-    #[test]
-    fn session_emits_flush_staged_records_first() {
-        use crate::schema::{SessionEventKind, SessionState};
-        // An ordering-sensitive sink: counts records and remembers
-        // whether a session event ever arrived before a staged epoch.
-        struct Ordered {
-            epochs: u64,
-            sessions: u64,
-            session_before_epoch: bool,
-        }
-        impl TraceSink for Ordered {
-            fn on_epoch(&mut self, _: &EpochRecord) {
-                self.epochs += 1;
-            }
-            fn on_packet(&mut self, _: &PacketRecord) {}
-            fn on_profile(&mut self, _: &ProfileSnapshot) {}
-            fn on_session(&mut self, _: &SessionRecord) {
-                if self.epochs == 0 {
-                    self.session_before_epoch = true;
-                }
-                self.sessions += 1;
-            }
-        }
-        let sink = Arc::new(Mutex::new(Ordered {
-            epochs: 0,
-            sessions: 0,
-            session_before_epoch: false,
-        }));
-        let mut h = TraceHandle::new(sink.clone());
-        h.epoch(&epoch()); // staged, not yet at the sink
-        h.session(&SessionRecord {
-            t_ns: 9,
-            kind: SessionEventKind::StateChange,
-            state: SessionState::Degraded,
-            retries: 0,
-            elapsed_ns: 5,
-        });
-        let s = sink.lock().expect("unpoisoned");
-        assert_eq!(s.epochs, 1, "staged epoch must flush before the session");
-        assert_eq!(s.sessions, 1);
-        assert!(!s.session_before_epoch, "causal order violated");
-    }
-
-    #[test]
-    fn default_on_session_is_a_noop() {
-        // `Counting` does not override on_session: the default must
-        // accept the record without effect.
-        let sink = Arc::new(Mutex::new(Counting(0)));
-        let mut h = TraceHandle::new(sink.clone());
-        h.session(&SessionRecord {
-            t_ns: 1,
-            kind: crate::schema::SessionEventKind::RecoveryComplete,
-            state: crate::schema::SessionState::Established,
-            retries: 2,
-            elapsed_ns: 7,
-        });
-        assert_eq!(sink.lock().expect("unpoisoned").0, 0);
     }
 
     #[test]

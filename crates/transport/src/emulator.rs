@@ -30,7 +30,7 @@
 //! per datagram.
 
 use crate::clock::WallClock;
-use crate::io_batch::{batcher_for, IoBatcher, IoMode, OutPacket};
+use crate::io_batch::{batcher_for, IoBatcher, IoMode, OutQueue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -176,8 +176,8 @@ fn run_loop(
     // Data packets currently riding the wheel (ACK entries excluded),
     // for the exit conservation ledger.
     let mut data_in_wheel: u64 = 0;
-    let mut fwd_out: Vec<OutPacket> = Vec::new();
-    let mut ack_out: Vec<OutPacket> = Vec::new();
+    let mut fwd_out = OutQueue::new();
+    let mut ack_out = OutQueue::new();
     let mut sender_addr: Option<SocketAddr> = None;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut impairments = Impairments::new(config.impairments.clone());
@@ -254,15 +254,13 @@ fn run_loop(
         while let Some((_at, _tie, item)) = delay_line.pop_next_before(now) {
             if item.to_receiver {
                 data_in_wheel -= 1;
-                fwd_out.push(OutPacket {
-                    to: config.receiver,
-                    bytes: item.payload,
-                });
+                fwd_out
+                    .push(config.receiver, item.payload.len())
+                    .copy_from_slice(&item.payload);
             } else if let Some(addr) = sender_addr {
-                ack_out.push(OutPacket {
-                    to: addr,
-                    bytes: item.payload,
-                });
+                ack_out
+                    .push(addr, item.payload.len())
+                    .copy_from_slice(&item.payload);
             }
         }
         if !fwd_out.is_empty() {
@@ -522,7 +520,6 @@ mod tests {
             payload_len: 1200,
         }
         .encode()
-        .to_vec()
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod timer_plane;
 
 pub use clock::WallClock;
 pub use emulator::{Emulator, EmulatorConfig, EmulatorHandle};
-pub use io_batch::{batcher_for, IoBatcher, IoCounters, IoMode, OutPacket, Received};
+pub use io_batch::{batcher_for, IoBatcher, IoCounters, IoMode, OutQueue, Received};
 pub use receiver::{Receiver, ReceiverHandle};
 pub use session::{BackoffSchedule, Session, SessionConfig, Transition};
 pub use shard_server::{

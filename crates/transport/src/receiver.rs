@@ -7,12 +7,13 @@
 //! receiver needs no per-flow state at all.
 
 use crate::clock::WallClock;
-use crate::io_batch::{batcher_for, IoMode, OutPacket};
+use crate::io_batch::{batcher_for, IoMode, OutQueue};
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+use verus_nettypes::packet::ACK_LEN;
 use verus_nettypes::{AckPacket, DataPacket};
 
 /// A running receiver thread.
@@ -99,7 +100,7 @@ impl Receiver {
         let thread = std::thread::Builder::new()
             .name("verus-receiver-batched".into())
             .spawn(move || {
-                let mut acks: Vec<OutPacket> = Vec::new();
+                let mut acks = OutQueue::new();
                 loop {
                     if t_stop.load(Ordering::Relaxed) { // ordering: advisory stop flag; the idle sleep below bounds shutdown latency
                         break;
@@ -112,11 +113,8 @@ impl Receiver {
                             };
                             t_received.fetch_add(1, Ordering::Relaxed); // ordering: monotonic stat counter; nothing else depends on it
                             t_bytes.fetch_add(raw.len() as u64, Ordering::Relaxed); // ordering: monotonic stat counter; nothing else depends on it
-                            let ack = AckPacket::for_packet(&pkt, clock.now_micros());
-                            acks.push(OutPacket {
-                                to: src,
-                                bytes: ack.encode().to_vec(),
-                            });
+                            AckPacket::for_packet(&pkt, clock.now_micros())
+                                .write(acks.push(src, ACK_LEN));
                         });
                         let Ok(got) = got else { return };
                         drained += got.datagrams;

@@ -83,7 +83,7 @@ use verus_trace::{lane, SessionState};
 
 use crate::clock::WallClock;
 use crate::flow::{FlowEngine, FlowParams, Pumped};
-use crate::io_batch::{batcher_for, IoCounters, IoMode, OutPacket, BATCH};
+use crate::io_batch::{batcher_for, IoCounters, IoMode, OutQueue, BATCH};
 use crate::session::{Session, SessionConfig, Transition};
 use crate::stats::TransferStats;
 use crate::timer_plane::{merged_jitter_p99_ms, TimerKind, TimerPlane};
@@ -551,10 +551,9 @@ struct FlowState {
     engine: FlowEngine,
     dest: SocketAddr,
     target: u64,
-    /// Finished (acked or shed) bits over the sequences sent so far; grows
-    /// with the highest finished sequence. Every sent sequence is below
-    /// `next_fresh`.
-    done_bits: Vec<u64>,
+    /// Finished (acked or shed) bits over the sequences sent so far.
+    /// Every sent sequence is below `next_fresh`.
+    done_bits: DoneBits,
     next_fresh: u64,
     done_count: u64,
     /// Sequences the engine declared lost, oldest first. Each takes a
@@ -602,7 +601,7 @@ impl FlowState {
             engine: FlowEngine::new(spec.cc, Session::new(session, start), params),
             dest: spec.dest,
             target: spec.packets,
-            done_bits: Vec::new(),
+            done_bits: DoneBits::default(),
             next_fresh: 0,
             done_count: 0,
             lost: VecDeque::new(),
@@ -646,36 +645,61 @@ impl FlowState {
     }
 }
 
-fn word_index(seq: u64) -> usize {
-    usize::try_from(seq / 64).unwrap_or(usize::MAX)
+/// A bitmap over a flow's sequence space whose all-set prefix is
+/// trimmed: every sequence below `base` is set, and `words[k]` holds
+/// the 64 sequences from `base + 64·k`. Bits past the end are clear. An
+/// unbounded flow ACKed in order so keeps a few words however long it
+/// runs, where one bit per sequence sent would grow without bound.
+#[derive(Debug, Default)]
+struct DoneBits {
+    /// First sequence of `words[0]`, a multiple of 64.
+    base: u64,
+    words: VecDeque<u64>,
 }
 
-/// Sets `seq`'s bit, growing the bitmap as needed; returns whether it
-/// was newly set.
-fn bit_set(bits: &mut Vec<u64>, seq: u64) -> bool {
-    let w = word_index(seq);
-    if w >= bits.len() {
-        bits.resize(w + 1, 0);
+fn word_index(bits: &DoneBits, seq: u64) -> usize {
+    usize::try_from((seq - bits.base) / 64).unwrap_or(usize::MAX)
+}
+
+/// Sets `seq`'s bit, growing the bitmap as needed and trimming its
+/// all-set prefix; returns whether it was newly set.
+fn bit_set(bits: &mut DoneBits, seq: u64) -> bool {
+    if seq < bits.base {
+        return false;
+    }
+    let w = word_index(bits, seq);
+    if w >= bits.words.len() {
+        bits.words.resize(w + 1, 0);
     }
     let mask = 1u64 << (seq % 64);
-    let newly = bits[w] & mask == 0;
-    bits[w] |= mask;
+    let newly = bits.words[w] & mask == 0;
+    bits.words[w] |= mask;
+    while bits.words.front() == Some(&u64::MAX) {
+        bits.words.pop_front();
+        bits.base += 64;
+    }
     newly
 }
 
-/// Whether `seq`'s bit is set (bits past the end are clear).
-fn bit_get(bits: &[u64], seq: u64) -> bool {
-    bits.get(word_index(seq))
-        .is_some_and(|w| w & (1u64 << (seq % 64)) != 0)
+/// Whether `seq`'s bit is set.
+fn bit_get(bits: &DoneBits, seq: u64) -> bool {
+    seq < bits.base
+        || bits
+            .words
+            .get(word_index(bits, seq))
+            .is_some_and(|w| w & (1u64 << (seq % 64)) != 0)
 }
 
-/// Lowest sequence below `target` whose bit is clear (bits past the end
-/// of the bitmap are clear).
-fn first_undone(done: &[u64], target: u64) -> Option<u64> {
-    let w = done.iter().position(|&word| word != u64::MAX);
-    let seq = w.map_or(done.len() as u64 * 64, |w| {
-        (w as u64) * 64 + u64::from((!done[w]).trailing_zeros())
-    });
+/// Lowest sequence below `target` whose bit is clear.
+fn first_undone(done: &DoneBits, target: u64) -> Option<u64> {
+    let mut seq = done.base;
+    for &word in &done.words {
+        if word != u64::MAX {
+            seq += u64::from((!word).trailing_zeros());
+            break;
+        }
+        seq += 64;
+    }
     (seq < target).then_some(seq)
 }
 
@@ -700,7 +724,7 @@ struct Shard<'a> {
     flows: Vec<FlowState>,
     route: HashMap<u32, usize>,
     plane: TimerPlane,
-    out: Vec<OutPacket>,
+    out: OutQueue,
     closed: usize,
     /// Run start: the origin of every flow's throughput series.
     start: SimTime,
@@ -715,10 +739,7 @@ impl Shard<'_> {
         let pkt = f.engine.send(now, seq);
         lane::clear();
         f.stats.sent += 1;
-        self.out.push(OutPacket {
-            to: f.dest,
-            bytes: pkt.encode().to_vec(),
-        });
+        pkt.write(self.out.push(f.dest, pkt.wire_len()));
         bump(&self.c.sent);
         self.arm_rto(j);
     }
@@ -769,10 +790,7 @@ impl Shard<'_> {
             stats.sent += 1;
             match grant {
                 Pumped::Sent(pkt) => {
-                    out.push(OutPacket {
-                        to: *dest,
-                        bytes: pkt.encode().to_vec(),
-                    });
+                    pkt.write(out.push(*dest, pkt.wire_len()));
                     bump(&c.sent);
                 }
                 Pumped::Shed(seq) => shed.push(seq),
@@ -990,7 +1008,7 @@ fn drive_shard(input: WorkerInput, c: &ShardCounters) -> io::Result<ShardOutcome
         flows: Vec::with_capacity(input.specs.len()),
         route: HashMap::with_capacity(input.specs.len()),
         plane: TimerPlane::new(),
-        out: Vec::new(),
+        out: OutQueue::new(),
         closed: 0,
         start: input.start,
         packet_bytes: u64::from(cfg.packet_bytes),
@@ -1295,7 +1313,7 @@ mod tests {
 
     #[test]
     fn bitmap_helpers_track_the_sequence_space() {
-        let mut bits = vec![0u64; 3];
+        let mut bits = DoneBits::default();
         assert!(bit_set(&mut bits, 0), "first set is new");
         assert!(!bit_set(&mut bits, 0), "second set is not");
         assert!(bit_set(&mut bits, 65));
@@ -1308,7 +1326,10 @@ mod tests {
             bit_set(&mut bits, s);
         }
         assert_eq!(first_undone(&bits, 100), Some(64));
-        let full = vec![u64::MAX; 2];
+        let mut full = DoneBits::default();
+        for s in 0..128 {
+            bit_set(&mut full, s);
+        }
         assert_eq!(first_undone(&full, 128), None);
         // The bitmap grows on demand, so bits past its end are clear.
         assert_eq!(
@@ -1316,12 +1337,37 @@ mod tests {
             Some(128),
             "target beyond the bitmap"
         );
-        assert_eq!(first_undone(&[], 5), Some(0));
-        let mut grown = Vec::new();
+        assert_eq!(first_undone(&DoneBits::default(), 5), Some(0));
+        let mut grown = DoneBits::default();
         assert!(bit_set(&mut grown, 200), "setting past the end grows");
-        assert_eq!(grown.len(), 4);
+        assert_eq!(grown.words.len(), 4);
         assert!(bit_get(&grown, 200));
         assert!(!bit_get(&grown, 10_000), "past the end reads clear");
+    }
+
+    #[test]
+    fn bitmap_trims_its_done_prefix_on_a_long_flow() {
+        // 10⁶ in-order ACKs, one left out near the end.
+        let n = 1_000_000u64;
+        let hole = n - 100;
+        let mut bits = DoneBits::default();
+        for s in (0..n).filter(|&s| s != hole) {
+            assert!(bit_set(&mut bits, s));
+        }
+        assert!(bits.words.len() <= 2, "{} words kept", bits.words.len());
+        assert!(
+            bits.words.capacity() <= 16,
+            "capacity {}",
+            bits.words.capacity()
+        );
+        assert_eq!(bits.base, hole / 64 * 64, "trimmed up to the hole's word");
+        assert!(bit_get(&bits, 0) && bit_get(&bits, hole - 1) && !bit_get(&bits, hole));
+        assert_eq!(first_undone(&bits, u64::MAX), Some(hole));
+        assert!(!bit_set(&mut bits, 5), "below the base is already done");
+        assert!(bit_set(&mut bits, hole));
+        assert!(bits.words.len() <= 1);
+        assert_eq!(first_undone(&bits, n), None);
+        assert_eq!(first_undone(&bits, u64::MAX), Some(n));
     }
 
     #[test]
@@ -1686,9 +1732,9 @@ mod tests {
         assert_eq!(summary.count, Reservoir::DEFAULT_CAP);
     }
 
-    fn wire_seqs(out: &[OutPacket]) -> Vec<u64> {
+    fn wire_seqs(out: &OutQueue) -> Vec<u64> {
         out.iter()
-            .map(|p| DataPacket::decode(&p.bytes).unwrap().seq)
+            .map(|(_, bytes)| DataPacket::decode(bytes).unwrap().seq)
             .collect()
     }
 
@@ -1721,7 +1767,7 @@ mod tests {
             flows: vec![FlowState::new(spec, &cfg, SimTime::ZERO, 64)],
             route: HashMap::from([(7, 0)]),
             plane: TimerPlane::new(),
-            out: Vec::new(),
+            out: OutQueue::new(),
             closed: 0,
             start: SimTime::ZERO,
             packet_bytes: 100,
@@ -1730,7 +1776,8 @@ mod tests {
         // Connecting: the first fire probes; its ACK establishes.
         shard.epoch_fire(0, ms(0), ms(0));
         assert_eq!(wire_seqs(&shard.out), vec![0]);
-        let probe = DataPacket::decode(&shard.out[0].bytes).unwrap();
+        let (_, probe) = shard.out.iter().next().unwrap();
+        let probe = DataPacket::decode(probe).unwrap();
         let ack = AckPacket::for_packet(&probe, ms(5).as_micros());
         shard.handle_ack(&ack.encode(), ms(10));
         shard.out.clear();

@@ -32,6 +32,12 @@ rm -f "$check_json"
 cargo test --release -q -p verus-bench -p verus-netsim --test fault_injection --test conservation \
   --features verus-netsim/strict-invariants,verus-core/strict-invariants,verus-transport/strict-invariants
 
+# Steady-state allocation gate: under 0.05 allocations per further ACKed
+# packet on the UDP send and ACK path. Tier-1 runs it at the test
+# profile's opt-level 1; this runs it again in release, the profile
+# perfbench measures.
+cargo test --release -q -p verus-transport --test alloc_steady_state
+
 # CLI smoke: the sender/receiver binaries end to end on loopback. The
 # receiver binds an ephemeral port and names it on stderr; a 2 s
 # transfer at it must get at least one packet acknowledged, once with
