@@ -75,6 +75,9 @@ pub enum TraceError {
     },
     /// The trace has no opportunities.
     Empty,
+    /// Every opportunity is at t = 0, so the trace has no length to
+    /// loop over.
+    ZeroDuration,
     /// A cell or link-budget configuration the channel model cannot run.
     InvalidCell {
         /// The offending field, e.g. `"packet_bytes"`.
@@ -95,6 +98,9 @@ impl std::fmt::Display for TraceError {
                 write!(f, "trace opportunities not sorted at index {index}")
             }
             Self::Empty => write!(f, "trace contains no opportunities"),
+            Self::ZeroDuration => {
+                write!(f, "trace has zero duration: every opportunity is at t = 0")
+            }
             Self::InvalidCell { field, requirement } => {
                 write!(f, "invalid cell config: {field} {requirement}")
             }
@@ -111,7 +117,9 @@ impl From<std::io::Error> for TraceError {
 }
 
 impl Trace {
-    /// Builds a trace from already-sorted opportunities.
+    /// Builds a trace from already-sorted opportunities. The last one
+    /// must lie after t = 0: a trace is replayed in a loop of its own
+    /// duration, and a zero-length loop never advances the clock.
     pub fn new(
         name: impl Into<String>,
         opportunities: Vec<Opportunity>,
@@ -123,6 +131,9 @@ impl Trace {
             if w[1].time < w[0].time {
                 return Err(TraceError::NotSorted { index: i + 1 });
             }
+        }
+        if opportunities.last().map(|o| o.time) == Some(SimTime::ZERO) {
+            return Err(TraceError::ZeroDuration);
         }
         Ok(Self {
             name: name.into(),
@@ -163,7 +174,8 @@ impl Trace {
         self.opportunities.is_empty()
     }
 
-    /// Timestamp of the last opportunity — the trace's natural duration.
+    /// Timestamp of the last opportunity — the trace's natural duration,
+    /// and the period it loops with. Always positive.
     #[must_use]
     pub fn duration(&self) -> SimDuration {
         self.opportunities
@@ -205,7 +217,7 @@ impl Trace {
     /// (the simulator loops traces the same way mahimahi does).
     #[must_use]
     pub fn extend_to(&self, duration: SimDuration) -> Trace {
-        let base = self.duration().max(SimDuration::from_nanos(1));
+        let base = self.duration();
         let mut out = Vec::with_capacity(self.opportunities.len() * 2);
         let mut offset = SimDuration::ZERO;
         'outer: loop {
@@ -307,6 +319,17 @@ mod tests {
     #[test]
     fn rejects_empty() {
         assert!(matches!(Trace::new("t", vec![]), Err(TraceError::Empty)));
+    }
+
+    #[test]
+    fn rejects_zero_duration() {
+        let err = Trace::from_times("t", [ms(0), ms(0)], 1500).unwrap_err();
+        assert!(matches!(err, TraceError::ZeroDuration));
+        let err = Trace::load_mahimahi("t", "0\n0\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, TraceError::ZeroDuration));
+        // One opportunity after t = 0 is enough.
+        let t = Trace::from_times("t", [ms(0), ms(1)], 1500).unwrap();
+        assert_eq!(t.duration(), SimDuration::from_millis(1));
     }
 
     #[test]

@@ -28,9 +28,15 @@ fn ulps_from(x: f64, k: i64) -> f64 {
     }
 }
 
+/// A sorted trace of positive length: opportunities may sit at t = 0,
+/// but the last one never does (`Trace::new` rejects a zero-length
+/// trace; its own unit tests cover that).
 fn arbitrary_trace() -> impl Strategy<Value = Trace> {
     proptest::collection::vec((0u64..5_000, 1u32..60_000), 1..200).prop_map(|mut items| {
         items.sort_by_key(|&(t, _)| t);
+        if let Some(last) = items.last_mut() {
+            last.0 = last.0.max(1);
+        }
         Trace::new(
             "prop",
             items
@@ -41,7 +47,7 @@ fn arbitrary_trace() -> impl Strategy<Value = Trace> {
                 })
                 .collect(),
         )
-        .expect("sorted non-empty")
+        .expect("sorted, non-empty, positive length")
     })
 }
 

@@ -1,6 +1,6 @@
 //! Per-flow measurement results.
 
-use verus_stats::{StreamingStats, Summary, ThroughputSeries};
+use verus_stats::{Running, Summary, ThroughputSeries};
 
 /// Everything measured about one flow during a simulation run.
 #[derive(Debug, Clone)]
@@ -12,16 +12,16 @@ pub struct FlowReport {
     /// Windowed received throughput (window from
     /// [`crate::SimConfig::throughput_window`]).
     pub throughput: ThroughputSeries,
-    /// Per-packet one-way delays (ms) in arrival order — the paper's
-    /// "delay" axis (self-inflicted queueing plus propagation). Empty when
-    /// the simulation was built with sample buffering disabled
-    /// ([`crate::Simulation::with_delay_samples`]); the streaming
-    /// statistics below are always populated.
+    /// Per-packet one-way delays (ms) — the paper's "delay" axis
+    /// (self-inflicted queueing plus propagation). In arrival order while
+    /// the flow's delivery count is within the per-flow reservoir cap, a
+    /// uniform sample of them past it. Empty when the simulation was
+    /// built with sample buffering disabled
+    /// ([`crate::Simulation::with_delay_samples`]).
     pub delays_ms: Vec<f64>,
-    /// Streaming delay statistics (exact mean/min/max, P² quantiles,
-    /// histogram) recorded for every delivery regardless of whether raw
-    /// samples are buffered.
-    pub delay_stats: StreamingStats,
+    /// Exact delay count, mean, variance, min and max (ms) over every
+    /// delivery, recorded whether or not samples are buffered.
+    pub delay_stats: Running,
     /// Packets handed to the network.
     pub sent: u64,
     /// Packets delivered to the receiver.
@@ -70,14 +70,10 @@ impl FlowReport {
         self.throughput.mean_bps(self.active_secs) / 1e6
     }
 
-    /// Delay summary (mean / percentiles), or `None` if nothing arrived.
-    /// Computed exactly from the raw samples when they were buffered;
-    /// otherwise assembled from the streaming statistics (P² quantiles).
+    /// Delay summary (mean / percentiles) of the buffered samples, or
+    /// `None` if nothing arrived or sample buffering was off.
     #[must_use]
     pub fn delay_summary(&self) -> Option<Summary> {
-        if self.delays_ms.is_empty() {
-            return self.delay_stats.summary();
-        }
         Summary::from_samples(&self.delays_ms)
     }
 
@@ -148,6 +144,12 @@ impl FlowReport {
 mod tests {
     use super::*;
 
+    fn running(xs: &[f64]) -> Running {
+        let mut r = Running::new();
+        xs.iter().for_each(|&x| r.push(x));
+        r
+    }
+
     fn report() -> FlowReport {
         let mut throughput = ThroughputSeries::new(1.0);
         throughput.record(0.5, 1_250_000); // 10 Mbit in second 0
@@ -157,7 +159,7 @@ mod tests {
             flow: 0,
             throughput,
             delays_ms: vec![10.0, 20.0, 30.0],
-            delay_stats: StreamingStats::from_samples(&[10.0, 20.0, 30.0]),
+            delay_stats: running(&[10.0, 20.0, 30.0]),
             sent: 100,
             delivered: 98,
             fast_losses: 2,
@@ -214,7 +216,7 @@ mod tests {
             flow: 1,
             throughput: ThroughputSeries::new(1.0),
             delays_ms: vec![],
-            delay_stats: StreamingStats::for_delays_ms(),
+            delay_stats: Running::new(),
             sent: 0,
             delivered: 0,
             fast_losses: 0,

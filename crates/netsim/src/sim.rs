@@ -51,7 +51,7 @@ use verus_cellular::trace::Opportunity;
 use verus_nettypes::{
     AckEvent, CongestionControl, LossEvent, LossKind, RttEstimator, SimDuration, SimTime,
 };
-use verus_stats::{Reservoir, StreamingStats, ThroughputSeries};
+use verus_stats::{Reservoir, Running, ThroughputSeries};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
@@ -241,8 +241,8 @@ struct FlowState {
     /// Raw per-delivery samples, reservoir-capped so long crowd runs
     /// stay bounded; left empty when sample buffering is off.
     delays: Reservoir,
-    /// Always-on O(1) delay statistics.
-    delay_stats: StreamingStats,
+    /// Exact delay moments over every delivery, always on.
+    delay_stats: Running,
     sent: u64,
     delivered: u64,
     fast_losses: u64,
@@ -317,7 +317,7 @@ impl CellService {
         abc: Option<crate::abc::AbcConfig>,
     ) -> Self {
         Self {
-            base_duration: trace.duration().max(SimDuration::from_nanos(1)),
+            base_duration: trace.duration(),
             opportunities: trace.opportunities().to_vec(),
             next_index: 0,
             loop_offset: SimDuration::ZERO,
@@ -454,9 +454,8 @@ pub struct Simulation {
     service: Service,
     rng: StdRng,
     impairments: Impairments,
-    seed: u64,
     /// Whether raw per-delivery delay samples are buffered into
-    /// `delays_ms` (streaming statistics are recorded either way).
+    /// `delays_ms` (the exact moments are recorded either way).
     record_delay_samples: bool,
     /// Logical events processed so far (throughput figure for the perf
     /// baseline). A delivery/ACK batch of k packets counts as k, so the
@@ -519,7 +518,7 @@ impl Simulation {
                 rto_retries: 0,
                 throughput: ThroughputSeries::new(window_s),
                 delays: Reservoir::new(Reservoir::DEFAULT_CAP, delay_reservoir_seed(seed, i)),
-                delay_stats: StreamingStats::for_delays_ms(),
+                delay_stats: Running::new(),
                 sent: 0,
                 delivered: 0,
                 fast_losses: 0,
@@ -560,7 +559,6 @@ impl Simulation {
             service,
             rng: StdRng::seed_from_u64(config.seed),
             impairments: Impairments::new(config.impairments),
-            seed,
             record_delay_samples: true,
             events: 0,
             in_queue_total: 0,
@@ -630,26 +628,13 @@ impl Simulation {
     }
 
     /// Disables (or re-enables) buffering of raw per-delivery delay
-    /// samples into [`FlowReport::delays_ms`]. Streaming statistics are
-    /// recorded regardless, so summaries stay available; turning the
-    /// buffer off makes long many-flow runs O(1) in memory.
+    /// samples into [`FlowReport::delays_ms`]. The exact moments in
+    /// [`FlowReport::delay_stats`] are recorded regardless; without
+    /// samples [`FlowReport::delay_summary`] is `None`, and long
+    /// many-flow runs stay O(1) in memory per flow.
     #[must_use]
     pub fn with_delay_samples(mut self, enabled: bool) -> Self {
         self.record_delay_samples = enabled;
-        self
-    }
-
-    /// Overrides the per-flow cap on buffered delay samples (default
-    /// [`Reservoir::DEFAULT_CAP`]). Below the cap the buffer is the
-    /// exact sample vector; past it, a uniform reservoir sample.
-    ///
-    /// Call before [`run`](Self::run) — any already-buffered samples are
-    /// discarded.
-    #[must_use]
-    pub fn with_delay_sample_cap(mut self, cap: usize) -> Self {
-        for (i, f) in self.flows.iter_mut().enumerate() {
-            f.delays = Reservoir::new(cap, delay_reservoir_seed(self.seed, i));
-        }
         self
     }
 
@@ -1174,7 +1159,7 @@ impl Simulation {
         }
         let delay = self.now.saturating_since(sent_at);
         let delay_ms = delay.as_millis_f64();
-        f.delay_stats.record(delay_ms);
+        f.delay_stats.push(delay_ms);
         if self.record_delay_samples {
             f.delays.push(delay_ms);
         }
@@ -1484,6 +1469,7 @@ mod tests {
     use super::*;
     use crate::queue::QueueConfig;
     use verus_nettypes::FixedWindow;
+    use verus_stats::Summary;
 
     fn fixed_sim(
         rate_bps: f64,
@@ -1751,7 +1737,7 @@ mod tests {
     }
 
     #[test]
-    fn disabling_delay_samples_keeps_summaries() {
+    fn disabling_delay_samples_keeps_exact_moments() {
         let make = || {
             let config = SimConfig {
                 bottleneck: BottleneckConfig::fixed(5e6, SimDuration::from_millis(40), 0.0),
@@ -1767,16 +1753,29 @@ mod tests {
             };
             Simulation::new(config).unwrap()
         };
-        let with = make().run();
-        let without = make().with_delay_samples(false).run();
-        assert!(!with[0].delays_ms.is_empty());
-        assert!(without[0].delays_ms.is_empty());
-        // Same seed, same run: the streaming stats are identical, and the
-        // sample-free report still produces a summary.
-        assert_eq!(with[0].delay_stats.count(), without[0].delay_stats.count());
-        assert_eq!(with[0].mean_delay_ms(), without[0].mean_delay_ms());
-        let s = without[0].delay_summary().expect("summary without samples");
-        assert!((s.mean - with[0].delay_summary().unwrap().mean).abs() < 1e-9);
+        let with = &make().run()[0];
+        let without = &make().with_delay_samples(false).run()[0];
+        assert!(!with.delays_ms.is_empty());
+        assert!(without.delays_ms.is_empty());
+        // Same seed, same run: the moments are bit-equal either way.
+        let moments = |r: &FlowReport| {
+            let d = &r.delay_stats;
+            (
+                d.count(),
+                d.mean().to_bits(),
+                d.std_dev().to_bits(),
+                d.min().map(f64::to_bits),
+                d.max().map(f64::to_bits),
+            )
+        };
+        assert!(with.delay_stats.count() > 0);
+        assert_eq!(moments(with), moments(without));
+        // Quantiles come only from buffered samples, and exactly.
+        assert!(without.delay_summary().is_none());
+        assert_eq!(
+            with.delay_summary(),
+            Summary::from_samples(&with.delays_ms)
+        );
     }
 
     #[test]

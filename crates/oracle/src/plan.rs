@@ -60,7 +60,7 @@ impl SchedulePlan {
         assert!(packet_bytes > 0, "packet size must be positive");
         let opps = trace.opportunities();
         assert!(!opps.is_empty(), "cannot plan over an empty trace");
-        let period = trace.duration().max(SimDuration::from_nanos(1));
+        let period = trace.duration();
         let end = SimTime::ZERO + duration;
 
         let in_outage = |t: SimTime| outages.iter().any(|&(s, e)| t >= s && t < e);

@@ -160,7 +160,7 @@ fn run_loop(
     shared: &EmulatorShared,
 ) {
     let opportunities = config.trace.opportunities();
-    let base = config.trace.duration().max(SimDuration::from_nanos(1));
+    let base = config.trace.duration();
     let start = clock.now();
     let mut opp_index = 0usize;
     let mut loop_offset = SimDuration::ZERO;

@@ -17,8 +17,10 @@
 //!   segment size, and the batcher splits it back in order; a message
 //!   without that cmsg is one datagram. A kernel that refuses a
 //!   segmented send (`EINVAL`/`EIO`/`EMSGSIZE`, e.g. with `SO_NO_CHECK`
-//!   set) gets those datagrams again as plain messages, and that
-//!   socket stops segmenting.
+//!   set) gets those datagrams again as plain messages. If they go
+//!   through, that socket stops segmenting; if they fail too, the
+//!   destination was at fault, segmenting stays on and the error is
+//!   returned.
 //!
 //! Measured with perfbench's `udp_crowd` (1k Verus flows × 200
 //! header-only packets over loopback, one shard, batched receiver) on a
@@ -415,6 +417,7 @@ mod mmsg {
     use super::{is_transient, IoBatcher, IoCounters, OutQueue, Received, BATCH};
     use std::io;
     use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
+    use std::ops::Range;
     use std::os::fd::AsRawFd;
 
     const AF_INET: u16 = 2;
@@ -631,7 +634,8 @@ mod mmsg {
         socket: UdpSocket,
         counters: IoCounters,
         /// Whether sends coalesce runs with `UDP_SEGMENT`; latched off
-        /// the first time the kernel refuses a segmented message.
+        /// the first time the kernel refuses a segmented message whose
+        /// datagrams then go through plain.
         gso: bool,
         /// Receive payload, [`RECV_SLOTS`] × [`RECV_SLOT_BYTES`]. Empty
         /// until the first receive, so it is allocated in the thread
@@ -668,14 +672,14 @@ mod mmsg {
         }
 
         /// Lays out up to [`BATCH`] messages from the IPv4 prefix of
-        /// `out`'s datagrams from index `from` on, one per maximal run
-        /// of datagrams that share destination and length (capped by
+        /// `out`'s datagrams in `range`, one per maximal run of
+        /// datagrams that share destination and length (capped by
         /// [`max_segments`], or 1 with GSO off). The iovecs point into
         /// the queue's arena.
-        fn lay_out(&mut self, out: &OutQueue, from: usize) {
+        fn lay_out(&mut self, out: &OutQueue, range: Range<usize>) {
             self.iovecs.clear();
             self.hdrs.clear();
-            let pkts = &out.index[from..];
+            let pkts = &out.index[range];
             let mut i = 0;
             while let Some(first) = pkts.get(i) {
                 let SocketAddr::V4(to) = first.to else { break };
@@ -733,10 +737,10 @@ mod mmsg {
 
         /// Sends the laid-out messages and returns how many datagrams
         /// they consumed (sent, or refused and counted in
-        /// `send_failed`). Returns fewer than laid out only when the
-        /// kernel refused a segmented message: GSO is then latched off
-        /// and the caller lays the rest out again as plain datagrams.
-        fn send_laid_out(&mut self) -> io::Result<usize> {
+        /// `send_failed`), plus the length of the run in the segmented
+        /// message the kernel refused, if it refused one. The refused
+        /// run and everything after it are not consumed.
+        fn send_laid_out(&mut self) -> io::Result<(usize, Option<usize>)> {
             let mut done = 0usize;
             let mut m = 0usize;
             while m < self.hdrs.len() {
@@ -755,15 +759,15 @@ mod mmsg {
                 let k = usize::try_from(rc).unwrap_or(0).min(self.hdrs.len() - m);
                 if k == 0 {
                     let e = io::Error::last_os_error();
-                    if self.hdrs[m].hdr.iovlen > 1 && refuses_gso(&e) {
-                        self.gso = false;
-                        return Ok(done);
+                    let run = self.hdrs[m].hdr.iovlen;
+                    if run > 1 && refuses_gso(&e) {
+                        return Ok((done, Some(run)));
                     }
                     if is_transient(&e) {
                         // Full socket buffer: UDP loss semantics.
                         let rest = datagrams(&self.hdrs[m..]);
                         self.counters.send_failed += rest as u64;
-                        return Ok(done + rest);
+                        return Ok((done + rest, None));
                     }
                     return Err(e);
                 }
@@ -773,7 +777,28 @@ mod mmsg {
                 done += n;
                 m += k;
             }
-            Ok(done)
+            Ok((done, None))
+        }
+
+        /// Resends `run` datagrams from index `from`, a run the kernel
+        /// refused to segment, as plain messages. GSO is latched off
+        /// only if they go through: then the socket cannot offload. If
+        /// they fail too, the destination is at fault (a port-0 address
+        /// gives the same `EINVAL` either way), so GSO stays on and the
+        /// error is returned.
+        fn resend_refused_run(
+            &mut self,
+            out: &OutQueue,
+            from: usize,
+            run: usize,
+        ) -> io::Result<usize> {
+            self.gso = false;
+            self.lay_out(out, from..from + run);
+            let sent = self.send_laid_out();
+            if sent.is_err() {
+                self.gso = true;
+            }
+            sent.map(|(n, _)| n)
         }
 
         /// One datagram through `send_to`, for non-IPv4 destinations.
@@ -797,8 +822,11 @@ mod mmsg {
             let mut i = 0;
             while let Some(first) = out.index.get(i) {
                 i += if first.to.is_ipv4() {
-                    self.lay_out(out, i);
-                    self.send_laid_out()?
+                    self.lay_out(out, i..out.index.len());
+                    match self.send_laid_out()? {
+                        (n, None) => n,
+                        (n, Some(run)) => n + self.resend_refused_run(out, i + n, run)?,
+                    }
                 } else {
                     // Off the fast path; the testbed is IPv4-only.
                     self.send_plain(first.to, out.bytes(first))?;
@@ -1283,6 +1311,30 @@ mod tests {
         let got: Vec<Vec<u8>> = drain(rx.as_mut(), 2 * n).into_iter().map(|g| g.0).collect();
         assert_eq!(got, sent_bytes, "every datagram, in send order");
         assert_eq!(rx.counters().recvd_pkts, 2 * n as u64);
+    }
+
+    /// A run refused because its destination is bad (port 0 gives
+    /// `EINVAL` segmented or not) is an error, not a sign that the
+    /// socket cannot offload: GSO stays on for the next good run.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn bad_destination_does_not_latch_gso_off() {
+        let (a, b) = pair();
+        let b_addr = b.local_addr().expect("addr");
+        let nowhere = SocketAddr::from(([127, 0, 0, 1], 0));
+        let mut tx = batcher_for(a, IoMode::Batched).expect("tx");
+        let mut rx = batcher_for(b, IoMode::Batched).expect("rx");
+        let bad: Vec<Vec<u8>> = (0..3).map(|i| stamped(i, 64)).collect();
+        assert!(tx.send_batch(&mut queue_to(nowhere, &bad)).is_err());
+        assert_eq!(tx.counters().sent_pkts, 0);
+
+        let good: Vec<Vec<u8>> = (0..BATCH).map(|i| stamped(i, 64)).collect();
+        assert_eq!(tx.send_batch(&mut queue_to(b_addr, &good)).expect("send"), BATCH);
+        let tc = tx.counters();
+        assert_eq!(tc.sent_pkts, BATCH as u64);
+        assert_eq!(tc.sent_msgs, 1, "the good run still goes out segmented");
+        let got: Vec<Vec<u8>> = drain(rx.as_mut(), BATCH).into_iter().map(|g| g.0).collect();
+        assert_eq!(got, good);
     }
 
     /// `full` reports that every receive slot was used. With GRO a slot

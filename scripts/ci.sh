@@ -20,7 +20,7 @@ cargo run -p verus-check
 # deny-level diagnostics (warn-level entries — e.g. stale suppressions —
 # also fail the human-mode run above via the workspace test, but the jq
 # gate keeps the deny contract explicit for downstream tooling).
-check_json="$(mktemp /tmp/verus_check.XXXXXX.json)"
+check_json="$(mktemp "${TMPDIR:-/tmp}/verus_check.XXXXXX.json")"
 cargo run -q -p verus-check -- --json > "$check_json"
 jq -e '
   .tool == "verus-check" and .version == 2
@@ -46,7 +46,7 @@ cargo test --release -q -p verus-transport --test alloc_steady_state
 # drains promptly ends a few milliseconds after its 2 s, and one that
 # hangs into the server's hard abort (deadline + 2 s drain timeout +
 # 1 s) fails here.
-recv_log="$(mktemp /tmp/verus_recv.XXXXXX.log)"
+recv_log="$(mktemp "${TMPDIR:-/tmp}/verus_recv.XXXXXX.log")"
 target/release/verus-recv 127.0.0.1:0 --quiet 2> "$recv_log" &
 recv_pid=$!
 trap 'kill "$recv_pid" 2> /dev/null || true' EXIT
@@ -77,7 +77,7 @@ rm -f "$recv_log"
 # must then reproduce the committed record's sim half exactly (it is
 # seeded simulation); the transport half holds only the SLO verdicts the
 # jq gate above already checks.
-chaos_out="$(mktemp /tmp/bench_chaos.XXXXXX.json)"
+chaos_out="$(mktemp "${TMPDIR:-/tmp}/bench_chaos.XXXXXX.json")"
 VERUS_BENCH_OUT="$chaos_out" cargo run --release -q -p verus-bench --bin bench_chaos -- --smoke
 chaos_jq='
   .schema == "verus-chaos-soak-v1"
@@ -113,8 +113,8 @@ rm -f "$chaos_out"
 # *exactly* 0 in every scenario (its utility is the denominator), every
 # other regret lies in [0, 1], every cell delivered traffic, and every
 # scenario's optimum is positive.
-tourn_out="$(mktemp /tmp/bench_tournament.XXXXXX.json)"
-tourn_out2="$(mktemp /tmp/bench_tournament.XXXXXX.json)"
+tourn_out="$(mktemp "${TMPDIR:-/tmp}/bench_tournament.XXXXXX.json")"
+tourn_out2="$(mktemp "${TMPDIR:-/tmp}/bench_tournament.XXXXXX.json")"
 VERUS_BENCH_OUT="$tourn_out" cargo run --release -q -p verus-bench --bin bench_tournament -- --smoke
 VERUS_BENCH_OUT="$tourn_out2" cargo run --release -q -p verus-bench --bin bench_tournament -- --smoke > /dev/null
 cmp -s "$tourn_out" "$tourn_out2" \
@@ -144,7 +144,7 @@ rm -f "$tourn_out" "$tourn_out2"
 # schema line by line, replay it through trace_report, and fail if the
 # recorder dropped anything (a nonzero drop counter means the bounded
 # buffers silently truncated the run).
-trace_out="$(mktemp -d /tmp/trace_smoke.XXXXXX)"
+trace_out="$(mktemp -d "${TMPDIR:-/tmp}/trace_smoke.XXXXXX")"
 cargo run --release -q -p verus-bench --bin trace_report -- capture "$trace_out/smoke.jsonl"
 jq -es '
   (.[0].type == "header" and .[0].schema == "verus-trace-v0")
@@ -171,7 +171,7 @@ rm -rf "$trace_out"
 # are re-derived from the committed files by the tier-1 test
 # crates/bench/tests/experiments.rs.)
 cargo build --release -q -p verus-bench --bins
-regen="$(mktemp -d /tmp/verus_results.XXXXXX)"
+regen="$(mktemp -d "${TMPDIR:-/tmp}/verus_results.XXXXXX")"
 VERUS_RESULTS="$regen" target/release/repro_all > "$regen/repro_all_output.txt"
 VERUS_RESULTS="$regen" target/release/trace_report capture > /dev/null
 VERUS_RESULTS="$regen" target/release/trace_report report "$regen/sample_trace.jsonl" > /dev/null
