@@ -19,6 +19,7 @@
 //! delays are kept in milliseconds — the unit all of §4's equations use.
 
 use crate::config::SplineKind;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use verus_nettypes::{SimDuration, SimTime};
 use verus_spline::{Curve, MonotoneCubic, NaturalCubic};
@@ -40,9 +41,9 @@ impl ProfileCurve {
     }
 }
 
-/// Number of samples in the inverse-lookup table. At the profile scales
-/// Verus runs (windows up to a few thousand packets) this keeps cells
-/// well under one packet wide, so the bisection that refines the crossing
+/// Number of grid points in the inverse-lookup table. At the profile
+/// scales Verus runs (windows up to a few thousand packets) this keeps
+/// cells well under one packet wide, so the refinement of the crossing
 /// starts from a tight bracket.
 const INV_LUT_SIZE: usize = 2048;
 
@@ -56,36 +57,53 @@ const INV_TOL: f64 = 1e-9;
 /// bisection bounds the worst case well inside this cap.
 const INV_MAX_REFINE: usize = 64;
 
-/// Dense sampling of the fitted curve over the full probe-able window
-/// range, rebuilt once per [`DelayProfiler::refit`]. Inverse lookups
-/// bracket the threshold crossing here (binary search when the sampled
-/// curve is monotone, one vectorizable sweep of cached `f64`s otherwise)
-/// instead of evaluating the spline hundreds of times per epoch.
-#[derive(Debug, Clone)]
+/// Samples of the fitted curve on an [`INV_LUT_SIZE`]-point grid over the
+/// full probe-able window range, filled lazily in grid order: each
+/// [`DelayProfiler::refit`] only resets it, and a lookup evaluates the
+/// curve at the grid points it needs beyond the filled prefix (lookups
+/// read the first few hundred points, not all 2048). Each sample carries
+/// the running maximum of the samples up to it, so the first up-crossing
+/// of a target is a `partition_point` over the filled prefix instead of
+/// a sweep or hundreds of spline evaluations per epoch.
+#[derive(Debug, Clone, Default)]
 struct InvLut {
     lo: f64,
     hi: f64,
-    ys: Vec<f64>,
-    /// Whether the sampled values are non-decreasing, enabling
-    /// `partition_point` bracketing.
-    monotone: bool,
+    /// `(curve value, running maximum)` at grid points `0..len`, grown
+    /// only as lookups reach further; the buffer is reused across refits.
+    samples: Vec<(f64, f64)>,
 }
 
 impl InvLut {
-    fn build(curve: &ProfileCurve, max_window_seen: f64) -> Self {
-        let lo = 1.0;
-        let hi = (max_window_seen * 1.5 + 10.0).max(lo + 1.0);
-        let step = (hi - lo) / (INV_LUT_SIZE - 1) as f64;
-        let ys: Vec<f64> = (0..INV_LUT_SIZE)
-            .map(|i| curve.eval(lo + step * i as f64))
-            .collect();
-        let monotone = ys.windows(2).all(|w| w[1] >= w[0]);
-        Self { lo, hi, ys, monotone }
+    /// Points the table at a newly fitted curve, dropping its samples.
+    fn reset(&mut self, max_window_seen: f64) {
+        self.lo = 1.0;
+        self.hi = (max_window_seen * 1.5 + 10.0).max(self.lo + 1.0);
+        self.samples.clear();
     }
 
-    /// Grid abscissa of sample `i`.
+    /// Evaluates the curve at the next unfilled grid point, `lo + step·i`.
+    /// That can differ from [`Self::x`] in the last bit; both formulas are
+    /// kept as they were so that every lookup returns the same bits.
+    fn fill_next(&mut self, curve: &ProfileCurve) {
+        let i = self.samples.len();
+        let step = (self.hi - self.lo) / (INV_LUT_SIZE - 1) as f64;
+        let y = curve.eval(self.lo + step * i as f64);
+        let prev = self.samples.last().map_or(f64::NEG_INFINITY, |&(_, m)| m);
+        self.samples.push((y, prev.max(y)));
+    }
+
+    /// Sample `i`, filling the table up to it.
+    fn sample(&mut self, curve: &ProfileCurve, i: usize) -> (f64, f64) {
+        while self.samples.len() <= i {
+            self.fill_next(curve);
+        }
+        self.samples[i]
+    }
+
+    /// Grid abscissa of point `i`.
     fn x(&self, i: usize) -> f64 {
-        self.lo + (self.hi - self.lo) * i as f64 / (self.ys.len() - 1) as f64
+        self.lo + (self.hi - self.lo) * i as f64 / (INV_LUT_SIZE - 1) as f64
     }
 
     /// Largest grid point at or below `w` (clamped to the grid).
@@ -98,39 +116,58 @@ impl InvLut {
         if w < self.lo {
             return 0;
         }
-        let step = (self.hi - self.lo) / (self.ys.len() - 1) as f64;
+        let step = (self.hi - self.lo) / (INV_LUT_SIZE - 1) as f64;
         let i = ((w - self.lo) / step) as usize + 1;
-        i.min(self.ys.len())
+        i.min(INV_LUT_SIZE)
     }
 
     /// Finds the first grid point in `(from_w, to_w]` whose sampled delay
     /// reaches `dest`, returning the enclosing cell `(x[i-1], x[i])` along
-    /// with the sampled delays at both ends (exact curve values — the
-    /// table is built from the fitted curve — so the refinement can start
-    /// its secant without re-evaluating the spline).
-    fn bracket(&self, dest: f64, from_w: f64, to_w: f64) -> Option<(f64, f64, f64, f64)> {
+    /// with the sampled delays at both ends (exact curve values, so the
+    /// refinement can start its secant without re-evaluating the spline).
+    /// Fills the table only up to that point, or to `to_w` when there is
+    /// none.
+    fn bracket(
+        &mut self,
+        curve: &ProfileCurve,
+        dest: f64,
+        from_w: f64,
+        to_w: f64,
+    ) -> Option<(f64, f64, f64, f64)> {
         let start = self.first_index_above(from_w);
-        let end = self.first_index_above(to_w).min(self.ys.len());
+        let end = self.first_index_above(to_w);
         if start >= end {
             return None;
         }
-        let idx = if self.monotone {
-            // Everything at/after the partition point is >= dest, so the
-            // first candidate in range is max(partition, start).
-            let i = self.ys.partition_point(|&y| y < dest).max(start);
-            if i >= end {
+        while self.samples.len() < end && self.samples.last().is_none_or(|&(_, m)| m < dest) {
+            self.fill_next(curve);
+        }
+        let filled = self.samples.len().min(end);
+        // The first sample to reach `dest` is the first whose running
+        // maximum does. Only when that lies below `start` (or `dest` is
+        // NaN, which nothing reaches) must the range be swept itself.
+        let first = self.samples[..filled].partition_point(|&(_, m)| m < dest);
+        let idx = if first >= start {
+            if first == filled {
                 return None;
             }
-            i
+            first
         } else {
-            start + self.ys[start..end].iter().position(|&y| y >= dest)?
+            (start..end).find(|&i| self.sample(curve, i).0 >= dest)?
         };
-        let (a, ya) = if idx == 0 {
-            (self.lo, self.ys[0])
-        } else {
-            (self.x(idx - 1), self.ys[idx - 1])
-        };
-        Some((a, self.x(idx), ya, self.ys[idx]))
+        let below = idx.saturating_sub(1);
+        Some((
+            self.x(below),
+            self.x(idx),
+            self.samples[below].0,
+            self.samples[idx].0,
+        ))
+    }
+
+    /// Number of grid points evaluated since the last reset.
+    #[cfg(test)]
+    fn filled(&self) -> usize {
+        self.samples.len()
     }
 }
 
@@ -155,10 +192,10 @@ pub struct DelayProfiler {
     /// Smoothed delay (ms) per integer window (packets).
     points: BTreeMap<u32, Point>,
     curve: Option<ProfileCurve>,
-    /// Inverse-lookup table over the fitted curve, rebuilt alongside it.
-    /// `None` until the first refit builds it; lookups without a table
-    /// fall back to the direct curve scan.
-    inv_lut: Option<InvLut>,
+    /// Inverse-lookup table over the fitted curve, reset alongside it and
+    /// filled by the lookups themselves (hence the cell: lookups take
+    /// `&self`).
+    inv_lut: RefCell<InvLut>,
     /// Largest window among live points (sets the upward-probing
     /// headroom; recomputed when points age out).
     max_window_seen: f64,
@@ -181,7 +218,7 @@ impl DelayProfiler {
             max_age,
             points: BTreeMap::new(),
             curve: None,
-            inv_lut: None,
+            inv_lut: RefCell::default(),
             max_window_seen: 0.0,
         }
     }
@@ -255,7 +292,7 @@ impl DelayProfiler {
                 Err(_) => return false,
             },
         };
-        self.inv_lut = Some(InvLut::build(&curve, self.max_window_seen));
+        self.inv_lut.get_mut().reset(self.max_window_seen);
         self.curve = Some(curve);
         true
     }
@@ -307,31 +344,25 @@ impl DelayProfiler {
         if y_lo >= dest_ms {
             return Some(lo);
         }
-        match &self.inv_lut {
-            Some(lut) => {
-                // Bracket the first up-crossing from the table, then refine
-                // inside the cell. The table may stop short of `hi` (samples
-                // added since the last refit extend the headroom; beyond the
-                // knots the curve is linear), so the tail past the last
-                // in-range grid point is handled by the endpoint check.
-                if let Some((a, b, ya, yb)) = lut.bracket(dest_ms, lo, hi) {
-                    // A cell straddling `lo` is re-anchored at `lo`, whose
-                    // curve value is already in hand.
-                    let (a, ya) = if a < lo { (lo, y_lo) } else { (a, ya) };
-                    return Some(Self::refine(curve, dest_ms, a, b, ya, yb));
-                }
-                let tail_start = lut.floor_x(hi).max(lo);
-                let y_hi = curve.eval(hi);
-                if y_hi >= dest_ms {
-                    let y_tail = curve.eval(tail_start);
-                    return Some(Self::refine(curve, dest_ms, tail_start, hi, y_tail, y_hi));
-                }
-                Some(hi)
-            }
-            // No table: direct coarse scan with the
-            // same threshold semantics.
-            None => Some(Self::scan_lookup(curve, dest_ms, lo, hi)),
+        // Bracket the first up-crossing from the table, then refine inside
+        // the cell. The table may stop short of `hi` (samples added since
+        // the last refit extend the headroom; beyond the knots the curve
+        // is linear), so the tail past the last in-range grid point is
+        // handled by the endpoint check.
+        let mut lut = self.inv_lut.borrow_mut();
+        if let Some((a, b, ya, yb)) = lut.bracket(curve, dest_ms, lo, hi) {
+            // A cell straddling `lo` is re-anchored at `lo`, whose curve
+            // value is already in hand.
+            let (a, ya) = if a < lo { (lo, y_lo) } else { (a, ya) };
+            return Some(Self::refine(curve, dest_ms, a, b, ya, yb));
         }
+        let tail_start = lut.floor_x(hi).max(lo);
+        let y_hi = curve.eval(hi);
+        if y_hi >= dest_ms {
+            let y_tail = curve.eval(tail_start);
+            return Some(Self::refine(curve, dest_ms, tail_start, hi, y_tail, y_hi));
+        }
+        Some(hi)
     }
 
     /// Collapses the bracket `[a, b]` — `curve(a) < dest_ms <= curve(b)`,
@@ -390,25 +421,6 @@ impl DelayProfiler {
             }
         }
         0.5 * (a + b)
-    }
-
-    /// The pre-LUT inverse lookup: walk a 512-point grid over `[lo, hi]`
-    /// and refine the first crossing cell. Kept as the fallback for
-    /// profilers without a table.
-    fn scan_lookup(curve: &ProfileCurve, dest_ms: f64, lo: f64, hi: f64) -> f64 {
-        const STEPS: usize = 512;
-        let mut prev_w = lo;
-        let mut prev_y = curve.eval(lo);
-        for i in 1..=STEPS {
-            let w = lo + (hi - lo) * i as f64 / STEPS as f64;
-            let y = curve.eval(w);
-            if y >= dest_ms {
-                return Self::refine(curve, dest_ms, prev_w, w, prev_y, y);
-            }
-            prev_w = w;
-            prev_y = y;
-        }
-        hi
     }
 
     /// Samples the fitted curve at `n` evenly spaced windows across
@@ -516,18 +528,44 @@ mod tests {
     }
 
     #[test]
-    fn lut_and_fallback_scan_agree() {
-        // A profiler without its LUT takes the direct-scan path; both
-        // paths must land on the same window.
+    fn lookups_fill_the_table_only_as_far_as_they_reach() {
         let mut p = profiler();
-        feed_linear(&mut p);
-        let mut stripped = p.clone();
-        stripped.inv_lut = None;
-        for dest in [1.0, 30.0, 60.0, 95.0, 121.9, 140.0, 1e6] {
-            let fast = p.lookup_window(dest, 1.0, 1000.0).unwrap();
-            let slow = stripped.lookup_window(dest, 1.0, 1000.0).unwrap();
-            assert!((fast - slow).abs() < 1e-6, "dest={dest}: {fast} vs {slow}");
-        }
+        feed_linear(&mut p); // grid over [1, 85]; delay 40 ms ↔ W = 10
+        assert_eq!(
+            p.inv_lut.borrow().filled(),
+            0,
+            "refit evaluates no grid point"
+        );
+        let w = p.lookup_window(40.0, 1.0, 1000.0).unwrap();
+        assert!((w - 10.0).abs() < 0.5, "got {w}");
+        let near = p.inv_lut.borrow().filled();
+        assert!(
+            near > 0 && near <= INV_LUT_SIZE / 8,
+            "filled {near} of {INV_LUT_SIZE}"
+        );
+        let prefix: Vec<(f64, f64)> = p.inv_lut.borrow().samples.clone();
+
+        // Reaching further extends the prefix, leaving it as it was.
+        let w = p.lookup_window(110.0, 1.0, 1000.0).unwrap(); // W = 45
+        assert!((w - 45.0).abs() < 0.5, "got {w}");
+        let far = p.inv_lut.borrow().filled();
+        assert!(far > near && far < INV_LUT_SIZE * 3 / 4, "filled {far}");
+        let lut = p.inv_lut.borrow();
+        assert!(lut.samples[..near]
+            .iter()
+            .zip(&prefix)
+            .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits()));
+        drop(lut);
+
+        // A lookup inside the filled prefix evaluates no new point.
+        p.lookup_window(40.0, 1.0, 1000.0).unwrap();
+        assert_eq!(p.inv_lut.borrow().filled(), far);
+
+        // A refit starts over in the same buffer.
+        let capacity = p.inv_lut.borrow().samples.capacity();
+        assert!(p.refit(SimTime::ZERO));
+        assert_eq!(p.inv_lut.borrow().filled(), 0);
+        assert_eq!(p.inv_lut.borrow().samples.capacity(), capacity);
     }
 
     #[test]

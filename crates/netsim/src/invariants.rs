@@ -1,4 +1,5 @@
-//! Runtime simulator invariants: packet conservation.
+//! Runtime simulator invariants: packet conservation, plus the gap-timer
+//! check that no hole below an ACK is left unarmed.
 //!
 //! Every packet a flow hands to the network is, at any instant, in
 //! exactly one place:
@@ -100,6 +101,23 @@ pub fn queue_accounting(flows_in_queue: u64, queue_len: usize) {
     let _ = (flows_in_queue, queue_len);
 }
 
+/// After gap-timer arming on an ACK for `acked`, every live entry below
+/// it must carry an armed timer: the visit cursor may skip only holes an
+/// earlier ACK already armed. `holes` yields `(seq, armed)` for the live
+/// entries below `acked`.
+#[inline]
+pub fn holes_armed(flow: usize, acked: u64, holes: impl Iterator<Item = (u64, bool)>) {
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+    for (seq, armed) in holes {
+        assert!(
+            armed,
+            "gap timer missing for flow {flow}: seq {seq} is outstanding below ACK {acked} unarmed"
+        );
+    }
+    #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
+    let _ = (flow, acked, holes);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +176,12 @@ mod tests {
         #[should_panic(expected = "queue accounting violated")]
         fn queue_mismatch_fires() {
             queue_accounting(4, 3);
+        }
+
+        #[test]
+        #[should_panic(expected = "gap timer missing")]
+        fn unarmed_hole_fires() {
+            holes_armed(0, 10, [(7, true), (8, false)].into_iter());
         }
     }
 }

@@ -15,9 +15,20 @@
 //! window slides, so steady state allocates nothing — a flow in
 //! equilibrium re-uses the same ~cwnd slots forever.
 //!
-//! Iteration order (`iter`, `front`, `retain_below`) is ascending
-//! sequence number, matching the BTreeMap semantics the simulator's
-//! loss-detection scan relies on.
+//! Iteration order (`iter`, `front`, `iter_below_mut`,
+//! `visit_below_once`) is ascending sequence number, matching the
+//! BTreeMap semantics the loss-detection scans rely on.
+//!
+//! Gap-timer loss detection arms each hole below an ACK once and never
+//! touches it again until it leaves the table, so re-walking the holes
+//! from the head on every ACK redoes finished work (a `verus_single`
+//! pass walked 176 slots per ACK to re-check about 21 already-armed
+//! holes). [`OutstandingTable::visit_below_once`] keeps a visit-once
+//! cursor instead: every live entry below it has been visited, a call
+//! visits only `[cursor, bound)` and then raises the cursor to `bound`,
+//! and an insert below the cursor (a retransmission re-tracking an old
+//! sequence, or an overwrite) lowers it to that sequence so the new
+//! entry is visited again.
 
 /// Ring-buffer map from (mostly contiguous, monotonically inserted)
 /// sequence numbers to per-packet state.
@@ -27,6 +38,9 @@ pub struct OutstandingTable<V> {
     head: u64,
     slots: std::collections::VecDeque<Option<V>>,
     live: usize,
+    /// Every live entry below this sequence has been visited by
+    /// [`Self::visit_below_once`].
+    cursor: u64,
 }
 
 impl<V> Default for OutstandingTable<V> {
@@ -43,6 +57,7 @@ impl<V> OutstandingTable<V> {
             head: 0,
             slots: std::collections::VecDeque::new(),
             live: 0,
+            cursor: 0,
         }
     }
 
@@ -66,8 +81,10 @@ impl<V> OutstandingTable<V> {
 
     /// Inserts `value` at `seq`, returning any previous value. Sends are
     /// sequential, so this is almost always a push at the tail;
-    /// retransmissions overwrite in place.
+    /// retransmissions overwrite in place. An insert below the visit
+    /// cursor lowers it to `seq`.
     pub fn insert(&mut self, seq: u64, value: V) -> Option<V> {
+        self.cursor = self.cursor.min(seq);
         if self.slots.is_empty() {
             self.head = seq;
         }
@@ -157,11 +174,35 @@ impl<V> OutstandingTable<V> {
             .filter_map(move |(i, s)| s.as_mut().map(|v| (head + i as u64, v)))
     }
 
+    /// Visits, in ascending sequence order, the live entries in
+    /// `[cursor, bound)`, then raises the visit cursor to `bound`. Every
+    /// entry inserted since it was last visited is in that range, so a
+    /// caller that marks what it visits (a gap timer armed) and skips
+    /// what is already marked marks exactly the entries an
+    /// [`Self::iter_below_mut`] walk would, without re-walking the
+    /// marked ones below the cursor.
+    pub fn visit_below_once(&mut self, bound: u64, mut visit: impl FnMut(u64, &mut V)) {
+        if bound <= self.cursor {
+            return;
+        }
+        let head = self.head;
+        let len = self.slots.len();
+        let off = |seq: u64| usize::try_from(seq.saturating_sub(head)).map_or(len, |o| o.min(len));
+        let (start, end) = (off(self.cursor), off(bound));
+        for (i, slot) in self.slots.range_mut(start..end).enumerate() {
+            if let Some(v) = slot {
+                visit(head + (start + i) as u64, v);
+            }
+        }
+        self.cursor = bound;
+    }
+
     /// Drops every entry, keeping the allocation.
     pub fn clear(&mut self) {
         self.slots.clear();
         self.head = 0;
         self.live = 0;
+        self.cursor = 0;
     }
 }
 
@@ -186,6 +227,9 @@ mod tests {
 
     #[test]
     fn holes_and_out_of_order_removal_match_btreemap() {
+        // Values are `(payload, armed)`. Inserts land anywhere in the
+        // window, often below the visit cursor, as a transport's
+        // re-sends of old sequences do.
         let mut t = OutstandingTable::new();
         let mut reference = std::collections::BTreeMap::new();
         // Deterministic scramble of inserts/removes across a window.
@@ -196,7 +240,11 @@ mod tests {
             if x % 3 == 0 {
                 assert_eq!(t.remove(seq), reference.remove(&seq), "step {step}");
             } else {
-                assert_eq!(t.insert(seq, step), reference.insert(seq, step), "step {step}");
+                assert_eq!(
+                    t.insert(seq, (step, false)),
+                    reference.insert(seq, (step, false)),
+                    "step {step}"
+                );
             }
             assert_eq!(t.len(), reference.len(), "step {step}");
             assert_eq!(
@@ -210,23 +258,45 @@ mod tests {
             let got: Vec<(u64, u64)> = t
                 .iter_below_mut(bound)
                 .map(|(k, v)| {
-                    *v += 1;
-                    (k, *v)
+                    v.0 += 1;
+                    (k, v.0)
                 })
                 .collect();
             let want: Vec<(u64, u64)> = reference
                 .range_mut(..bound)
                 .map(|(k, v)| {
-                    *v += 1;
-                    (*k, *v)
+                    v.0 += 1;
+                    (*k, v.0)
                 })
                 .collect();
             assert_eq!(got, want, "step {step}, bound {bound}");
+            // The gap-timer arming: through the cursor, the callers'
+            // unarmed-only guard arms exactly the unarmed entries below
+            // the bound, in order. (An insert below the cursor makes it
+            // revisit armed entries above that insert; the guard skips
+            // them.)
+            let arm_bound = 990 + (x >> 45) % 90 + step / 100;
+            let mut got = Vec::new();
+            t.visit_below_once(arm_bound, |k, v| {
+                if !v.1 {
+                    v.1 = true;
+                    got.push(k);
+                }
+            });
+            let want: Vec<u64> = reference
+                .range_mut(..arm_bound)
+                .filter(|(_, v)| !v.1)
+                .map(|(k, v)| {
+                    v.1 = true;
+                    *k
+                })
+                .collect();
+            assert_eq!(got, want, "step {step}, arm bound {arm_bound}");
             assert!(
                 t.iter()
                     .map(|(k, v)| (k, *v))
                     .eq(reference.iter().map(|(k, v)| (*k, *v))),
-                "step {step}: mutation through iter_below_mut did not stick"
+                "step {step}: mutation through the scans did not stick"
             );
         }
         let got: Vec<_> = t.iter().map(|(k, v)| (k, *v)).collect();

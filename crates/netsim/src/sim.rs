@@ -1359,22 +1359,36 @@ impl Simulation {
         debug_assert!(condemned.is_empty() && to_arm.is_empty());
         {
             let f = &mut self.flows[flow];
-            let detection = f.loss_detection;
-            let srtt = f.rtt.srtt_or(SimDuration::from_millis(200));
-            for (hole, m) in f.outstanding.iter_below_mut(seq) {
-                match detection {
-                    LossDetection::PacketThreshold { threshold } => {
+            match f.loss_detection {
+                LossDetection::PacketThreshold { threshold } => {
+                    for (hole, m) in f.outstanding.iter_below_mut(seq) {
                         m.later_acks += 1;
                         if m.later_acks >= threshold {
                             condemned.push(hole);
                         }
                     }
-                    LossDetection::GapTimer { factor } => {
+                }
+                LossDetection::GapTimer { factor } => {
+                    // A hole stays armed until it leaves the table, so
+                    // only holes the visit cursor has not passed yet can
+                    // still need a timer.
+                    let srtt = f.rtt.srtt_or(SimDuration::from_millis(200));
+                    f.outstanding.visit_below_once(seq, |hole, m| {
                         if m.gap_deadline.is_none() {
                             let deadline = now + srtt.mul_f64(factor);
                             m.gap_deadline = Some(deadline);
                             to_arm.push((hole, deadline));
                         }
+                    });
+                    if crate::invariants::ENABLED {
+                        crate::invariants::holes_armed(
+                            flow,
+                            seq,
+                            f.outstanding
+                                .iter()
+                                .take_while(|&(hole, _)| hole < seq)
+                                .map(|(hole, m)| (hole, m.gap_deadline.is_some())),
+                        );
                     }
                 }
             }

@@ -245,12 +245,16 @@ impl FlowEngine {
             .rtt
             .srtt_or(GAP_SRTT_DEFAULT)
             .mul_f64(self.params.gap_factor);
+        // Holes stay armed until they leave the table, so only those the
+        // visit cursor has not passed can need a timer. A retransmission
+        // re-inserted below the cursor lowers it; the guard skips the
+        // armed holes that makes it revisit.
         if let Some(gap_at) = now.checked_add(gap) {
-            for (_, p) in self.outstanding.iter_below_mut(ack.seq) {
+            self.outstanding.visit_below_once(ack.seq, |_, p| {
                 if p.gap_deadline.is_none() {
                     p.gap_deadline = Some(gap_at);
                 }
-            }
+            });
         }
         Some(AckOutcome {
             transition,
@@ -603,6 +607,20 @@ mod tests {
         );
         assert_eq!(e.in_flight(), 1);
         assert!(e.is_in_flight(3));
+
+        // Retransmissions re-track 0 and 1 below the point the first ACK
+        // armed up to; the next ACK must arm them again.
+        e.send(ms(400), 0);
+        e.send(ms(400), 1);
+        e.on_ack(ms(450), &ack_for(&pkts[3], ms(420)));
+        for seq in [0, 1] {
+            assert!(
+                e.outstanding
+                    .get(seq)
+                    .is_some_and(|p| p.gap_deadline.is_some()),
+                "re-sent seq {seq} is unarmed"
+            );
+        }
     }
 
     #[test]

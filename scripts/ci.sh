@@ -187,12 +187,23 @@ rm -rf "$regen"
 # BENCHMARK.json) runs each workload for one second and ends its output
 # with one JSON line. Its own correctness checks — every flow's ledger
 # balances, report digests agree across passes, the UDP packet ledger
-# closes — must all hold, and no operation may fail.
+# closes — must all hold, and no operation may fail. The simulator
+# workloads' report digests at seed 1 are pinned: a performance change
+# must leave simulated behaviour alone, and a fidelity change re-pins
+# them and says why, as the cellular goldens do.
+declare -A sim_digest=([verus_single]=8942cd866d88b022 [cubic_crowd]=cc2dfd948225f0d7)
 for workload in verus_single cubic_crowd udp_crowd; do
-  perf_line="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  perf_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0)"
+  perf_line="$(tail -n 1 <<< "$perf_out")"
   jq -e '.correct and .failed == 0' <<< "$perf_line" > /dev/null \
     || { echo "perfbench $workload failed its correctness checks: $perf_line"; exit 1; }
+  want="${sim_digest[$workload]:-}"
+  if [ -n "$want" ]; then
+    got="$(sed -n 's/.*report digest \([0-9a-f]*\).*/\1/p' <<< "$perf_out")"
+    [ "$got" = "$want" ] \
+      || { echo "perfbench $workload report digest is ${got:-missing}, pinned $want"; exit 1; }
+  fi
 done
 
 # Trace-overhead ceiling: the traced pass of verus_single re-runs the
