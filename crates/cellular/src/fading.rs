@@ -134,9 +134,15 @@ impl LinkBudget {
     /// tabulates it for the per-TTI hot path.
     #[must_use]
     pub fn bytes_per_tti(&self, snr_db: f64) -> u32 {
-        let eff = |db: f64| (1.0 + 10f64.powf(db / 10.0)).log2();
-        let peak_eff = eff(self.snr_at_peak_db);
-        let ratio = (eff(snr_db.min(self.snr_at_peak_db)) / peak_eff).clamp(0.0, 1.0);
+        self.bytes_at(snr_db, spectral_efficiency(self.snr_at_peak_db))
+    }
+
+    /// [`LinkBudget::bytes_per_tti`] given `spectral_efficiency` at the
+    /// saturation SNR, which [`RateTable::new`] computes once rather than
+    /// once per probe.
+    fn bytes_at(&self, snr_db: f64, peak_eff: f64) -> u32 {
+        let eff = spectral_efficiency(snr_db.min(self.snr_at_peak_db));
+        let ratio = (eff / peak_eff).clamp(0.0, 1.0);
         // CQI quantization (floor: the scheduler picks the highest MCS
         // that still decodes).
         let steps = self.cqi_steps as f64;
@@ -166,6 +172,11 @@ impl LinkBudget {
     }
 }
 
+/// Shannon efficiency `log2(1 + SNR)` in bit/s/Hz at `db` dB.
+fn spectral_efficiency(db: f64) -> f64 {
+    (1.0 + 10f64.powf(db / 10.0)).log2()
+}
+
 /// Most CQI steps a [`LinkBudget`] may have. Real MCS ladders have 15
 /// (LTE CQI) to 32 rungs; the cap bounds [`RateTable`]'s size and so the
 /// cost of one lookup.
@@ -174,13 +185,16 @@ pub const MAX_CQI_STEPS: u32 = 64;
 /// [`LinkBudget::bytes_per_tti`] as a lookup table.
 ///
 /// The rate map is a step function of SNR with at most `cqi_steps + 1`
-/// levels, but evaluating it costs a `powf` and two `log2` — the largest
-/// per-TTI cost of channel synthesis after the Gaussian draws. The table
+/// levels, but evaluating it costs a `powf` and two `log2`. The table
 /// holds each level's bytes and the smallest SNR at which the level
 /// starts, found by bisection over the ordered f64 bit patterns with
 /// `bytes_per_tti` itself as the oracle. A lookup is then a branchless
-/// count of the thresholds at or below the SNR, and equals the formula on
-/// every input: a threshold is the exact first f64 of its level.
+/// count of the thresholds at or below the SNR (SSE2 compares, four
+/// thresholds per step), and equals the formula on every input: a
+/// threshold is the exact first f64 of its level. The count is still
+/// about a fifth to a quarter of channel synthesis in a sampling profile
+/// of `verus_single`'s 64 channels; the Gaussian draws and the fading
+/// update take about half.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RateTable {
     /// `thresholds[k]` is the smallest SNR at which `levels[k + 1]` applies.
@@ -196,7 +210,8 @@ impl RateTable {
     /// a peak rate or saturation SNR that is not finite and positive.
     pub fn new(budget: &LinkBudget) -> Result<Self, TraceError> {
         budget.validate()?;
-        let rate_at = |key: u64| budget.bytes_per_tti(from_order_key(key));
+        let peak_eff = spectral_efficiency(budget.snr_at_peak_db);
+        let rate_at = |key: u64| budget.bytes_at(from_order_key(key), peak_eff);
         let top = order_key(f64::INFINITY);
         let mut lo = order_key(f64::NEG_INFINITY);
         let mut level = rate_at(lo);
@@ -324,6 +339,7 @@ impl RateProcess {
     }
 
     /// Advances one TTI and returns the new instantaneous SNR in dB.
+    #[inline]
     pub fn advance<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         // Fast fading: AR(1) with stationary sigma fast_sigma_db.
         let innovation = self.fast_innovation * Normal::standard(rng);

@@ -122,7 +122,8 @@ impl CellConfig {
     /// Checks the configuration can be simulated: at least one user, a PF
     /// weight in (0, 1), a nonzero packet size, finite non-negative
     /// offered rates of at most [`MAX_PACKETS_PER_TTI`] packets per TTI,
-    /// and a valid [`LinkBudget`].
+    /// ON/OFF cycles (`on + off`) that fit a [`SimDuration`], and a valid
+    /// [`LinkBudget`].
     pub(crate) fn validate(&self) -> Result<(), TraceError> {
         let invalid = |field, requirement| Err(TraceError::InvalidCell { field, requirement });
         self.budget.validate()?;
@@ -139,7 +140,13 @@ impl CellConfig {
         for u in &self.users {
             let rate_bps = match u.demand {
                 Demand::Saturated => continue,
-                Demand::Cbr { rate_bps } | Demand::OnOff { rate_bps, .. } => rate_bps,
+                Demand::Cbr { rate_bps } => rate_bps,
+                Demand::OnOff { rate_bps, on, off } => {
+                    if on.as_nanos().checked_add(off.as_nanos()).is_none() {
+                        return invalid("users[].demand.off", "on + off must not overflow");
+                    }
+                    rate_bps
+                }
             };
             if !(rate_bps.is_finite() && rate_bps >= 0.0) {
                 return invalid("users[].demand.rate_bps", "must be finite and non-negative");
@@ -157,7 +164,11 @@ impl CellConfig {
 
 struct UserState {
     process: RateProcess,
-    demand: Demand,
+    /// Full-buffer user: always backlogged, no queue.
+    saturated: bool,
+    /// The CBR/OnOff load; `None` when nothing is ever offered
+    /// (saturated, or a zero rate).
+    arrivals: Option<Arrivals>,
     /// PF throughput average (bytes/TTI).
     pf_avg: f64,
     /// This TTI's deliverable bytes at the user's current SNR.
@@ -166,14 +177,64 @@ struct UserState {
     queue: VecDeque<(SimTime, u32)>,
     /// Sum of the queue's remaining bytes.
     backlog_bytes: u64,
-    /// Fractional-byte accumulator for CBR arrivals.
-    arrival_accum: f64,
     result: UserResult,
 }
 
 impl UserState {
     fn backlogged(&self) -> bool {
-        matches!(self.demand, Demand::Saturated) || !self.queue.is_empty()
+        self.saturated || !self.queue.is_empty()
+    }
+}
+
+/// A CBR or OnOff user's offered load.
+struct Arrivals {
+    /// Bytes offered per TTI while ON: `rate_bps · tti_s / 8`.
+    tti_bytes: f64,
+    /// `None` for CBR, which is always ON.
+    duty: Option<DutyCycle>,
+    /// Fractional-byte accumulator.
+    accum: f64,
+}
+
+/// An OnOff user's position in its cycle, advanced by one TTI per call
+/// instead of dividing the TTI start time by the cycle each TTI.
+struct DutyCycle {
+    /// ON length, ns.
+    on: u64,
+    /// `cycle − tti % cycle`, where `cycle = max(on + off, 1)` ns: the
+    /// phase at or above which the next step wraps.
+    wrap_at: u64,
+    /// `tti % cycle`, ns.
+    step: u64,
+    /// The current TTI's start time modulo `cycle`.
+    phase: u64,
+}
+
+impl DutyCycle {
+    /// Starts at phase 0 (ON at t = 0). `on + off` must not overflow
+    /// (`CellConfig::validate` checks it).
+    fn new(on: SimDuration, off: SimDuration, tti: SimDuration) -> Self {
+        let cycle = (on + off).as_nanos().max(1);
+        let step = tti.as_nanos() % cycle;
+        Self {
+            on: on.as_nanos(),
+            wrap_at: cycle - step,
+            step,
+            phase: 0,
+        }
+    }
+
+    /// Whether the current TTI is ON; then moves to the next TTI.
+    fn next_is_on(&mut self) -> bool {
+        let on = self.phase < self.on;
+        // `phase + step < 2·cycle`, so the new phase wraps at most once;
+        // comparing against `cycle − step` keeps the sum from overflowing.
+        if self.phase >= self.wrap_at {
+            self.phase -= self.wrap_at;
+        } else {
+            self.phase += self.step;
+        }
+        on
     }
 }
 
@@ -181,8 +242,8 @@ impl UserState {
 /// input order, or [`TraceError::InvalidCell`] if `config` cannot be
 /// simulated: no users, `pf_alpha` outside (0, 1), zero `packet_bytes`,
 /// an offered rate that is not finite and non-negative or exceeds
-/// [`MAX_PACKETS_PER_TTI`], or an invalid [`LinkBudget`] (see
-/// [`RateTable::new`]).
+/// [`MAX_PACKETS_PER_TTI`], an ON/OFF cycle whose `on + off` overflows,
+/// or an invalid [`LinkBudget`] (see [`RateTable::new`]).
 pub fn run_cell<R: Rng + ?Sized>(
     config: &CellConfig,
     duration: SimDuration,
@@ -194,24 +255,39 @@ pub fn run_cell<R: Rng + ?Sized>(
     let tti_s = tti.as_secs_f64();
     let n_ttis = duration.as_nanos() / tti.as_nanos();
     let packet_bytes = f64::from(config.packet_bytes);
+    let packet_len = u64::from(config.packet_bytes);
+    let pf_fresh = 1.0 - config.pf_alpha;
 
     let mut users: Vec<UserState> = config
         .users
         .iter()
-        .map(|u| UserState {
-            process: RateProcess::new(u.fading, config.budget),
-            demand: u.demand,
-            pf_avg: 1.0,
-            capacity: 0,
-            queue: VecDeque::new(),
-            backlog_bytes: 0,
-            arrival_accum: 0.0,
-            result: UserResult {
-                opportunities: Vec::new(),
-                delays: Vec::new(),
-                delivered_bytes: 0,
-                dropped: 0,
-            },
+        .map(|u| {
+            let (saturated, rate_bps, duty) = match u.demand {
+                Demand::Saturated => (true, 0.0, None),
+                Demand::Cbr { rate_bps } => (false, rate_bps, None),
+                Demand::OnOff { rate_bps, on, off } => {
+                    (false, rate_bps, Some(DutyCycle::new(on, off, tti)))
+                }
+            };
+            UserState {
+                process: RateProcess::new(u.fading, config.budget),
+                saturated,
+                arrivals: (rate_bps > 0.0).then(|| Arrivals {
+                    tti_bytes: rate_bps * tti_s / 8.0,
+                    duty,
+                    accum: 0.0,
+                }),
+                pf_avg: 1.0,
+                capacity: 0,
+                queue: VecDeque::new(),
+                backlog_bytes: 0,
+                result: UserResult {
+                    opportunities: Vec::new(),
+                    delays: Vec::new(),
+                    delivered_bytes: 0,
+                    dropped: 0,
+                },
+            }
         })
         .collect();
 
@@ -220,29 +296,21 @@ pub fn run_cell<R: Rng + ?Sized>(
 
         // 1. Arrivals: CBR users accumulate packets into their queue.
         for u in &mut users {
-            let rate = match u.demand {
-                Demand::Saturated => 0.0,
-                Demand::Cbr { rate_bps } => rate_bps,
-                Demand::OnOff { rate_bps, on, off } => {
-                    let cycle = (on + off).as_nanos().max(1);
-                    let phase = now.as_nanos() % cycle;
-                    if phase < on.as_nanos() {
-                        rate_bps
-                    } else {
-                        0.0
-                    }
-                }
+            let Some(a) = u.arrivals.as_mut() else {
+                continue;
             };
-            if rate > 0.0 {
-                u.arrival_accum += rate * tti_s / 8.0;
-                while u.arrival_accum >= packet_bytes {
-                    u.arrival_accum -= packet_bytes;
-                    if u.backlog_bytes + u64::from(config.packet_bytes) > config.user_queue_bytes {
-                        u.result.dropped += 1;
-                    } else {
-                        u.queue.push_back((now, config.packet_bytes));
-                        u.backlog_bytes += u64::from(config.packet_bytes);
-                    }
+            // An OnOff user offers nothing while OFF.
+            if a.duty.as_mut().is_some_and(|d| !d.next_is_on()) {
+                continue;
+            }
+            a.accum += a.tti_bytes;
+            while a.accum >= packet_bytes {
+                a.accum -= packet_bytes;
+                if u.backlog_bytes + packet_len > config.user_queue_bytes {
+                    u.result.dropped += 1;
+                } else {
+                    u.queue.push_back((now, config.packet_bytes));
+                    u.backlog_bytes += packet_len;
                 }
             }
         }
@@ -266,28 +334,27 @@ pub fn run_cell<R: Rng + ?Sized>(
             let mut served: u32 = 0;
             if Some(i) == winner {
                 let capacity = u.capacity;
-                match u.demand {
-                    Demand::Saturated => served = capacity,
-                    _ => {
-                        // Drain queued packets into this TTI.
-                        let mut budget = capacity;
-                        while budget > 0 {
-                            let Some(&(arrived, remaining)) = u.queue.front() else {
-                                break;
-                            };
-                            if remaining <= budget {
-                                budget -= remaining;
-                                u.queue.pop_front();
-                                u.result.delays.push((now, now.saturating_since(arrived)));
-                            } else {
-                                // Partially served packet stays at head.
-                                u.queue[0] = (arrived, remaining - budget);
-                                budget = 0;
-                            }
+                if u.saturated {
+                    served = capacity;
+                } else {
+                    // Drain queued packets into this TTI.
+                    let mut budget = capacity;
+                    while budget > 0 {
+                        let Some(&(arrived, remaining)) = u.queue.front() else {
+                            break;
+                        };
+                        if remaining <= budget {
+                            budget -= remaining;
+                            u.queue.pop_front();
+                            u.result.delays.push((now, now.saturating_since(arrived)));
+                        } else {
+                            // Partially served packet stays at head.
+                            u.queue[0] = (arrived, remaining - budget);
+                            budget = 0;
                         }
-                        served = capacity - budget;
-                        u.backlog_bytes -= u64::from(served);
                     }
+                    served = capacity - budget;
+                    u.backlog_bytes -= u64::from(served);
                 }
                 if served > 0 {
                     u.result.opportunities.push(Opportunity {
@@ -297,7 +364,7 @@ pub fn run_cell<R: Rng + ?Sized>(
                     u.result.delivered_bytes += u64::from(served);
                 }
             }
-            u.pf_avg = config.pf_alpha * u.pf_avg + (1.0 - config.pf_alpha) * f64::from(served);
+            u.pf_avg = config.pf_alpha * u.pf_avg + pf_fresh * f64::from(served);
         }
     }
 

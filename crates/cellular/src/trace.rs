@@ -13,6 +13,7 @@
 //! traces can be dropped in.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use verus_nettypes::time::round_nonneg;
 use verus_nettypes::{SimDuration, SimTime};
 
 /// Bytes per line in the mahimahi trace format.
@@ -162,6 +163,12 @@ impl Trace {
         &self.opportunities
     }
 
+    /// Consumes the trace, returning its opportunities without a copy.
+    #[must_use]
+    pub fn into_opportunities(self) -> Vec<Opportunity> {
+        self.opportunities
+    }
+
     /// Number of opportunities.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -248,7 +255,9 @@ impl Trace {
                 .iter()
                 .map(|o| Opportunity {
                     time: o.time,
-                    bytes: ((f64::from(o.bytes) * factor).round() as u32).max(1),
+                    bytes: u32::try_from(round_nonneg(f64::from(o.bytes) * factor))
+                        .unwrap_or(u32::MAX)
+                        .max(1),
                 })
                 .collect(),
         }
@@ -378,6 +387,40 @@ mod tests {
         assert_eq!(t.total_bytes(), 12_000);
         let half = sample().scale_rate(0.5);
         assert_eq!(half.total_bytes(), 3000);
+    }
+
+    #[test]
+    fn scale_rate_rounds_like_f64_round() {
+        // Byte counts at and around every rounding boundary a factor
+        // can hit, then factors from tiny (every size floors at 1 byte)
+        // to huge (every size saturates at u32::MAX).
+        let sizes = [1u32, 2, 3, 7, 1399, 1400, 1401, 65_535, 1 << 30, u32::MAX];
+        let trace = Trace::new(
+            "t",
+            sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &bytes)| Opportunity {
+                    time: SimTime::from_millis(i as u64 + 1),
+                    bytes,
+                })
+                .collect(),
+        )
+        .unwrap();
+        let mut factors = vec![1e-12, 0.5, 1.0, 1.5, 2.5, 1e9, f64::MAX];
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..2_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            factors.push(((rng >> 11) + 1) as f64 / (1u64 << 53) as f64 * 4.0);
+        }
+        for f in factors {
+            for (o, &b) in trace.scale_rate(f).opportunities().iter().zip(&sizes) {
+                let want = ((f64::from(b) * f).round() as u32).max(1);
+                assert_eq!(o.bytes, want, "{b} B x {f:e}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use verus_cellular::burst::detect_bursts;
 use verus_cellular::fading::{FadingConfig, LinkBudget, RateTable};
 use verus_cellular::scheduler::{run_cell, CellConfig, Demand, UserConfig};
-use verus_cellular::trace::{Opportunity, Trace};
+use verus_cellular::trace::{Opportunity, Trace, TraceError};
 use verus_cellular::{OperatorModel, Scenario};
 use verus_nettypes::{SimDuration, SimTime};
 
@@ -49,6 +49,47 @@ fn arbitrary_trace() -> impl Strategy<Value = Trace> {
         )
         .expect("sorted, non-empty, positive length")
     })
+}
+
+/// Offered rates from zero (and the smallest subnormal) through a band
+/// that straddles `MAX_PACKETS_PER_TTI` packets per TTI for both link
+/// budgets, plus values `CellConfig::validate` must reject.
+fn extreme_rate_bps() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(f64::from_bits(1)),
+        Just(f64::MIN_POSITIVE),
+        1.0f64..1e9,
+        1e11f64..1e12,
+        Just(1e30),
+        Just(f64::INFINITY),
+        Just(f64::NAN),
+        Just(-1.0),
+    ]
+}
+
+/// ON/OFF period lengths from zero through ones whose sum with any other
+/// overflows a `SimDuration`.
+fn extreme_period() -> impl Strategy<Value = SimDuration> {
+    prop_oneof![
+        Just(0u64),
+        Just(1u64),
+        1u64..10_000_000,
+        Just(u64::MAX / 2),
+        Just(u64::MAX / 2 + 1),
+        u64::MAX - 1_000..u64::MAX,
+        Just(u64::MAX),
+    ]
+    .prop_map(SimDuration::from_nanos)
+}
+
+fn extreme_demand() -> impl Strategy<Value = Demand> {
+    prop_oneof![
+        1 => Just(Demand::Saturated),
+        2 => extreme_rate_bps().prop_map(|rate_bps| Demand::Cbr { rate_bps }),
+        4 => (extreme_rate_bps(), extreme_period(), extreme_period())
+            .prop_map(|(rate_bps, on, off)| Demand::OnOff { rate_bps, on, off }),
+    ]
 }
 
 proptest! {
@@ -182,6 +223,40 @@ proptest! {
         let offered = rate_mbps * 1e6 / 8.0 * 5.0;
         prop_assert!(results[1].delivered_bytes as f64 <= offered + 1400.0 * 2.0,
             "CBR over-delivered: {} of {offered}", results[1].delivered_bytes);
+    }
+    /// Extreme demands never panic `run_cell`: it either runs or rejects
+    /// the cell with `InvalidCell`, and an ON/OFF cycle whose `on + off`
+    /// overflows is always rejected.
+    #[test]
+    fn extreme_demands_run_or_are_rejected(
+        demands in proptest::collection::vec(extreme_demand(), 1..4),
+        lte in proptest::bool::ANY,
+        run_ms in 0u64..25,
+        seed in 0u64..1_000,
+    ) {
+        let budget = if lte { LinkBudget::lte(10e6) } else { LinkBudget::hspa(8e6) };
+        let users: Vec<UserConfig> = demands
+            .iter()
+            .map(|&demand| UserConfig { demand, fading: FadingConfig::driving() })
+            .collect();
+        let overflows = demands.iter().any(|d| match *d {
+            Demand::OnOff { on, off, .. } => on.as_nanos().checked_add(off.as_nanos()).is_none(),
+            _ => false,
+        });
+        let cell = CellConfig::new(budget, users);
+        let mut rng = StdRng::seed_from_u64(seed);
+        match run_cell(&cell, SimDuration::from_millis(run_ms), &mut rng) {
+            Ok(results) => {
+                prop_assert!(!overflows, "overflowing cycle accepted: {:?}", demands);
+                prop_assert_eq!(results.len(), demands.len());
+                for r in &results {
+                    let granted: u64 = r.opportunities.iter().map(|o| u64::from(o.bytes)).sum();
+                    prop_assert_eq!(granted, r.delivered_bytes);
+                }
+            }
+            Err(TraceError::InvalidCell { .. }) => {}
+            Err(e) => prop_assert!(false, "wrong error {} for {:?}", e, demands),
+        }
     }
 }
 

@@ -123,6 +123,32 @@ fn unbounded_onoff_rate_is_rejected() {
 }
 
 #[test]
+fn overflowing_onoff_cycle_is_rejected() {
+    // `on + off` used to overflow inside `run_cell`: a panic in debug
+    // builds, and in release a wrapped cycle that left the user ON.
+    for (on, off) in [
+        (SimDuration::MAX, SimDuration::from_secs(1)),
+        (SimDuration::from_nanos(1), SimDuration::MAX),
+        (
+            SimDuration::from_nanos(u64::MAX / 2 + 1),
+            SimDuration::from_nanos(u64::MAX / 2 + 1),
+        ),
+    ] {
+        let mut cell = valid_cell();
+        cell.users[1].demand = Demand::OnOff {
+            rate_bps: 1e6,
+            on,
+            off,
+        };
+        assert_eq!(
+            rejected_field(cell),
+            "users[].demand.off",
+            "{on:?} + {off:?}"
+        );
+    }
+}
+
+#[test]
 fn zero_tti_is_rejected() {
     let mut cell = valid_cell();
     cell.budget.tti = SimDuration::ZERO;

@@ -295,11 +295,22 @@ enum Service {
 
 /// The trace-driven cell bottleneck: a looping schedule of delivery
 /// opportunities and the byte credit they accumulate against a backlog.
+///
+/// An idle link parks, as the fixed link idles with `busy` off: a drain
+/// that leaves the queue empty schedules no further opportunity, since
+/// every one before the next enqueue would find nothing to send and
+/// bank no credit. The next enqueue re-arms it ([`CellService::unpark`])
+/// at the first opportunity at or after that moment. A cell with an ABC
+/// marker never parks: the marker observes every idle opportunity.
 struct CellService {
     opportunities: Vec<Opportunity>,
+    /// The next opportunity not yet processed, and the start of the
+    /// trace loop it belongs to.
     next_index: usize,
     base_duration: SimDuration,
     loop_offset: SimDuration,
+    /// No `CellOpportunity` event is pending.
+    parked: bool,
     /// Accumulated byte credit while the queue is backlogged.
     credit: u64,
     base_rtt: SimDuration,
@@ -318,9 +329,10 @@ impl CellService {
     ) -> Self {
         Self {
             base_duration: trace.duration(),
-            opportunities: trace.opportunities().to_vec(),
+            opportunities: trace.into_opportunities(),
             next_index: 0,
             loop_offset: SimDuration::ZERO,
+            parked: false,
             credit: 0,
             base_rtt,
             loss,
@@ -331,15 +343,16 @@ impl CellService {
     /// Processes one delivery opportunity: accumulates credit against a
     /// backlog, dequeues every packet the credit covers into
     /// `deliveries`, and returns the next opportunity's (loop-adjusted)
-    /// time. During a blackout the opportunity is wasted — no drain, no
-    /// banked credit; the radio is gone, not merely idle.
+    /// time, or `None` when the link parks. During a blackout the
+    /// opportunity is wasted — no drain, no banked credit; the radio is
+    /// gone, not merely idle.
     fn drain(
         &mut self,
         now: SimTime,
         blackout: bool,
         queue: &mut Queue,
         deliveries: &mut Vec<QueuedPacket>,
-    ) -> SimTime {
+    ) -> Option<SimTime> {
         let opp = self.opportunities[self.next_index];
         // Credit accumulates only against a backlog; capacity cannot
         // be banked while there is nothing to send (mahimahi
@@ -372,14 +385,41 @@ impl CellService {
                 self.credit = 0;
             }
         }
-        // The next opportunity (looping the trace).
+        self.advance();
+        if queue.is_empty() && self.abc.is_none() {
+            self.parked = true;
+            return None;
+        }
+        Some(self.next_time().max(now))
+    }
+
+    /// Moves to the next opportunity, looping the trace.
+    fn advance(&mut self) {
         self.next_index += 1;
         if self.next_index >= self.opportunities.len() {
             self.next_index = 0;
             self.loop_offset += self.base_duration;
         }
-        let next_time = self.opportunities[self.next_index].time + self.loop_offset;
-        next_time.max(now)
+    }
+
+    /// The next opportunity's loop-adjusted time.
+    fn next_time(&self) -> SimTime {
+        self.opportunities[self.next_index].time + self.loop_offset
+    }
+
+    /// Re-arms a parked link after an enqueue at `now`: skips the
+    /// opportunities before `now` (each would have found the queue empty)
+    /// and returns the time of the first one at or after it. `None` if
+    /// the link was not parked.
+    fn unpark(&mut self, now: SimTime) -> Option<SimTime> {
+        if !self.parked {
+            return None;
+        }
+        self.parked = false;
+        while self.next_time() < now {
+            self.advance();
+        }
+        Some(self.next_time())
     }
 }
 
@@ -668,13 +708,6 @@ impl Simulation {
     /// Runs to completion and returns per-flow reports.
     pub fn run(self) -> Vec<FlowReport> {
         self.run_observed(SimDuration::MAX, |_, _| {})
-    }
-
-    /// Runs to completion and additionally returns the number of events
-    /// processed (the denominator for events/sec perf baselines).
-    pub fn run_counted(self) -> (Vec<FlowReport>, u64) {
-        let (reports, events, _) = self.run_instrumented();
-        (reports, events)
     }
 
     /// Runs to completion and returns `(reports, logical events, raw
@@ -1099,6 +1132,7 @@ impl Simulation {
                 self.in_queue_total += 1;
                 // A no-op for the second copy: the link is already busy.
                 self.maybe_start_fixed_service();
+                self.maybe_unpark_cell();
             } else {
                 self.flows[flow].queue_drops += 1;
             }
@@ -1131,6 +1165,17 @@ impl Simulation {
         *busy = true;
         let done = self.now + current.serialize_time(bytes);
         self.schedule_chan(done, EventKind::FixedDepart);
+    }
+
+    /// Cell link: re-arms a parked link after an enqueue. Blackouts do
+    /// not matter here: an opportunity in one wastes itself on firing.
+    fn maybe_unpark_cell(&mut self) {
+        let Service::Cell(ref mut cell) = self.service else {
+            return;
+        };
+        if let Some(t) = cell.unpark(self.now) {
+            self.schedule_chan(t, EventKind::CellOpportunity);
+        }
     }
 
     fn on_fixed_depart(&mut self) {
@@ -1239,13 +1284,15 @@ impl Simulation {
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         debug_assert!(deliveries.is_empty());
         let now = self.now;
-        let t = {
+        let next = {
             let Service::Cell(ref mut cell) = self.service else {
                 return;
             };
             cell.drain(now, blackout, &mut self.queue, &mut deliveries)
         };
-        self.schedule_chan(t, EventKind::CellOpportunity);
+        if let Some(t) = next {
+            self.schedule_chan(t, EventKind::CellOpportunity);
+        }
         // Phase 2: egress impairments + delivery scheduling. On the
         // wheel scheduler, *all* packets of one flow arriving at one
         // instant coalesce into a single `DeliverBatch` event, however
@@ -1660,6 +1707,91 @@ mod tests {
     }
 
     #[test]
+    fn idle_cell_link_parks_between_enqueues() {
+        use verus_cellular::{OperatorModel, Scenario};
+        let secs = 10;
+        let trace = Scenario::CampusStationary
+            .generate_trace(OperatorModel::Etisalat3G, SimDuration::from_secs(secs), 42)
+            .unwrap();
+        let end = SimTime::ZERO + SimDuration::from_secs(secs);
+        let offered = trace
+            .opportunities()
+            .iter()
+            .filter(|o| o.time <= end)
+            .count() as u64;
+        // Two packets per RTT leave the queue empty after almost every
+        // opportunity that drains them.
+        let config = SimConfig {
+            bottleneck: BottleneckConfig::Cell {
+                trace,
+                base_rtt: SimDuration::from_millis(40),
+                loss: 0.0,
+            },
+            queue: QueueConfig::paper_red(),
+            flows: vec![crate::config::FlowConfig::new(Box::new(FixedWindow::new(
+                2,
+            )))],
+            duration: SimDuration::from_secs(secs),
+            seed: 9,
+            throughput_window: SimDuration::from_secs(1),
+            impairments: Default::default(),
+            abc: None,
+        };
+        let (reports, _, pops) = Simulation::new(config).unwrap().run_instrumented();
+        let r = &reports[0];
+        // Every enqueue re-armed the link: the flow ran the whole time.
+        assert!(r.delivered > 300, "delivered {}", r.delivered);
+        assert_eq!(
+            r.delivered + r.residual_in_queue + r.residual_in_transit,
+            r.sent
+        );
+        // A link firing every opportunity pops at least `offered` events.
+        assert!(
+            pops < offered / 2,
+            "{pops} pops for {offered} opportunities"
+        );
+    }
+
+    #[test]
+    fn parked_cell_rearms_at_the_first_opportunity_at_or_after_now() {
+        let ms = |n: u64| SimTime::ZERO + SimDuration::from_millis(n);
+        let opp = |n: u64| Opportunity {
+            time: ms(n),
+            bytes: 1500,
+        };
+        // Opportunities at 1, 2 and 3 ms; the trace loops every 3 ms.
+        let trace = verus_cellular::Trace::new("t", vec![opp(1), opp(2), opp(3)]).unwrap();
+        let mut cell = CellService::from_trace(trace.clone(), SimDuration::ZERO, 0.0, None);
+        let mut queue = Queue::new(QueueConfig::deep_droptail());
+        let mut out = Vec::new();
+        assert_eq!(cell.unpark(ms(0)), None, "a fresh link is armed");
+        // An idle opportunity parks the link; the one it fired is spent.
+        assert_eq!(cell.drain(ms(1), false, &mut queue, &mut out), None);
+        assert_eq!(cell.unpark(ms(1)), Some(ms(2)));
+        assert_eq!(cell.unpark(ms(1)), None, "already re-armed");
+        // An enqueue at an opportunity's own time catches it.
+        assert_eq!(cell.drain(ms(2), false, &mut queue, &mut out), None);
+        assert_eq!(cell.unpark(ms(5)), Some(ms(5)));
+        // Otherwise the next one, across as many loops as it takes.
+        assert_eq!(cell.drain(ms(5), false, &mut queue, &mut out), None);
+        assert_eq!(
+            cell.unpark(ms(5) + SimDuration::from_micros(500)),
+            Some(ms(6))
+        );
+        assert_eq!(cell.drain(ms(6), false, &mut queue, &mut out), None);
+        assert_eq!(cell.unpark(ms(100)), Some(ms(100)));
+        assert!(out.is_empty());
+        // The ABC marker observes every idle opportunity, so it never parks.
+        let mut abc = CellService::from_trace(
+            trace,
+            SimDuration::ZERO,
+            0.0,
+            Some(crate::abc::AbcConfig::default()),
+        );
+        assert_eq!(abc.drain(ms(1), false, &mut queue, &mut out), Some(ms(2)));
+    }
+
+    #[test]
     fn rto_fires_when_link_dies() {
         // Loss = 100% after t=1s is impossible with one schedule entry, so
         // use an absurdly slow second phase instead: effectively dead.
@@ -1793,7 +1925,7 @@ mod tests {
     }
 
     #[test]
-    fn run_counted_reports_events() {
+    fn run_instrumented_reports_events() {
         let config = SimConfig {
             bottleneck: BottleneckConfig::fixed(5e6, SimDuration::from_millis(40), 0.0),
             queue: QueueConfig::deep_droptail(),
@@ -1806,9 +1938,11 @@ mod tests {
             impairments: Default::default(),
             abc: None,
         };
-        let (reports, events) = Simulation::new(config).unwrap().run_counted();
+        let (reports, events, pops) = Simulation::new(config).unwrap().run_instrumented();
         // Every delivery implies at least a Deliver and an AckArrive event.
         assert!(events >= reports[0].delivered * 2);
+        // A fixed link batches nothing: each pop is one logical event.
+        assert_eq!(pops, events);
     }
 
     #[test]

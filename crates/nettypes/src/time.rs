@@ -16,9 +16,10 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// two conversions and a compare instead of a libm `round` call — the
 /// baseline x86-64 target has no `roundsd`, and the RTT estimator makes
 /// several rounding conversions per ACK, enough to show up in event-loop
-/// profiles.
+/// profiles (and `Trace::scale_rate` one per opportunity).
 #[inline]
-fn round_nonneg(x: f64) -> u64 {
+#[must_use]
+pub fn round_nonneg(x: f64) -> u64 {
     debug_assert!(x >= 0.0);
     let t = x as u64;
     t + u64::from(x - t as f64 >= 0.5 && t != u64::MAX)
