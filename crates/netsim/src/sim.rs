@@ -205,7 +205,6 @@ struct Batch {
 
 #[derive(Debug, Clone, Copy)]
 struct PacketMeta {
-    sent_at: SimTime,
     send_window: f64,
     /// ACKs seen for later sequence numbers (duplicate-ACK equivalent).
     later_acks: u32,
@@ -1084,7 +1083,6 @@ impl Simulation {
         f.next_seq += 1;
         let bytes = f.packet_bytes;
         let meta = PacketMeta {
-            sent_at: now,
             send_window: f.cc.window().max(1.0),
             later_acks: 0,
             gap_deadline: None,
@@ -1230,14 +1228,10 @@ impl Simulation {
             return None;
         }
         fs.in_transit += 1;
-        // Reconstruct sender metadata for the delivery event.
-        let sent_at = fs
-            .outstanding
-            .get(pkt.seq)
-            .map(|m| m.sent_at)
-            .unwrap_or(pkt.enqueued);
+        // `send_packet` stamps the queue entry with its send time, and a
+        // sequence number is never sent twice, so that is `sent_at`.
         let deliver_at = self.now + base_delay + fate.extra_delay.unwrap_or(SimDuration::ZERO);
-        Some((deliver_at, sent_at))
+        Some((deliver_at, pkt.enqueued))
     }
 
     fn depart(&mut self, pkt: QueuedPacket) {

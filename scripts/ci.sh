@@ -188,21 +188,26 @@ rm -rf "$regen"
 # with one JSON line. Its own correctness checks — every flow's ledger
 # balances, report digests agree across passes, the UDP packet ledger
 # closes — must all hold, and no operation may fail. The simulator
-# workloads' report digests at seed 1 are pinned: a performance change
-# must leave simulated behaviour alone, and a fidelity change re-pins
-# them and says why, as the cellular goldens do.
-declare -A sim_digest=([verus_single]=8942cd866d88b022 [cubic_crowd]=cc2dfd948225f0d7)
-for workload in verus_single cubic_crowd udp_crowd; do
+# workloads' report digests at seeds 1 and 7 are pinned: a performance
+# change must leave simulated behaviour alone, and a fidelity change
+# re-pins them and says why, as the cellular goldens do.
+declare -A sim_digest=(
+  [verus_single/1]=8942cd866d88b022 [cubic_crowd/1]=cc2dfd948225f0d7
+  [verus_single/7]=d84cbd803457b2be [cubic_crowd/7]=b35f2c55006d27b7
+)
+for run in verus_single/1 cubic_crowd/1 udp_crowd/1 verus_single/7 cubic_crowd/7; do
+  workload="${run%/*}"
+  seed="${run#*/}"
   perf_out="$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
-    --workload "$workload" --seed 1 --seconds 1 --trace 0)"
+    --workload "$workload" --seed "$seed" --seconds 1 --trace 0)"
   perf_line="$(tail -n 1 <<< "$perf_out")"
   jq -e '.correct and .failed == 0' <<< "$perf_line" > /dev/null \
-    || { echo "perfbench $workload failed its correctness checks: $perf_line"; exit 1; }
-  want="${sim_digest[$workload]:-}"
+    || { echo "perfbench $workload (seed $seed) failed its correctness checks: $perf_line"; exit 1; }
+  want="${sim_digest[$run]:-}"
   if [ -n "$want" ]; then
     got="$(sed -n 's/.*report digest \([0-9a-f]*\).*/\1/p' <<< "$perf_out")"
     [ "$got" = "$want" ] \
-      || { echo "perfbench $workload report digest is ${got:-missing}, pinned $want"; exit 1; }
+      || { echo "perfbench $workload (seed $seed) report digest is ${got:-missing}, pinned $want"; exit 1; }
   fi
 done
 
